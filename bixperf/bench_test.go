@@ -202,3 +202,22 @@ func TestQuartilesMatchPython(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSecondsMatchesBenchmark keeps the -seconds default equal to the
+// run length BENCHMARK.json declares, so a run without the flag measures
+// as long as the bounds assume.
+func TestRunSecondsMatchesBenchmark(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bj struct {
+		RunSeconds int `json:"run_seconds"`
+	}
+	if err := json.Unmarshal(b, &bj); err != nil {
+		t.Fatal(err)
+	}
+	if bj.RunSeconds != runSeconds {
+		t.Errorf("BENCHMARK.json run_seconds = %d, -seconds default = %d", bj.RunSeconds, runSeconds)
+	}
+}

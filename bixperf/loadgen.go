@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,9 +16,6 @@ import (
 // loadResult is what one closed-loop drive observed.
 type loadResult struct {
 	latencies []time.Duration // one per completed request, send to body read
-	// done holds each request's completion time since the drive started,
-	// in the same order as latencies.
-	done      []time.Duration
 	attempted int
 	failed    int
 	elapsed   time.Duration
@@ -30,7 +28,6 @@ type loadResult struct {
 // merge sums two drives' observations.
 func merge(a, b loadResult) loadResult {
 	a.latencies = append(a.latencies, b.latencies...)
-	a.done = append(a.done, b.done...)
 	a.overheads = append(a.overheads, b.overheads...)
 	a.attempted += b.attempted
 	a.failed += b.failed
@@ -39,20 +36,6 @@ func merge(a, b loadResult) loadResult {
 		a.firstFailure = b.firstFailure
 	}
 	return a
-}
-
-// windowRates splits the drive into n equal windows and returns the
-// completions per second of each.
-func (lr loadResult) windowRates(n int) []float64 {
-	w := lr.elapsed / time.Duration(n)
-	counts := make([]float64, n)
-	for _, d := range lr.done {
-		counts[min(int(d/w), n-1)]++
-	}
-	for i := range counts {
-		counts[i] /= w.Seconds()
-	}
-	return counts
 }
 
 // queryReply is the part of a /query response the checker reads; table
@@ -90,6 +73,10 @@ func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer
 		},
 	}
 	defer hc.CloseIdleConnections()
+	// The client shares its CPU with the server; its own collector cycles
+	// would land in the measured tail. Its garbage per request is small,
+	// so it collects rarely while driving.
+	defer debug.SetGCPercent(debug.SetGCPercent(800))
 	urls := queryURLs(base, stream)
 
 	var (
@@ -105,12 +92,8 @@ func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer
 		go func() {
 			defer wg.Done()
 			var (
-				lats, overs []time.Duration
-				done        []time.Duration
-				attempted   int
-				failed      int
-				first       string
-				body        bytes.Buffer
+				lr   loadResult
+				body bytes.Buffer
 			)
 			for time.Now().Before(deadline) {
 				seq := int(cursor.Add(1) - 1)
@@ -118,22 +101,21 @@ func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer
 				t0 := time.Now()
 				reply, err := fetch(hc, urls[i], &body)
 				lat := time.Since(t0)
-				attempted++
-				lats = append(lats, lat)
-				done = append(done, t0.Add(lat).Sub(start))
+				lr.attempted++
+				lr.latencies = append(lr.latencies, lat)
 				if err == nil {
 					err = check(&stream[i], reply)
 				}
 				if err != nil {
-					failed++
-					if first == "" {
-						first = fmt.Sprintf("query %d %q: %v", i, stream[i].text, err)
+					lr.failed++
+					if lr.firstFailure == "" {
+						lr.firstFailure = fmt.Sprintf("query %d %q: %v", i, stream[i].text, err)
 					}
 					continue
 				}
 				if tr != nil {
 					srv := time.Duration(reply.ElapsedNS)
-					overs = append(overs, lat-srv)
+					lr.overheads = append(lr.overheads, lat-srv)
 					id := tr.record("bixstore.request", 0, seq, t0, t0.Add(lat), false)
 					// The server reports only its own duration; the span
 					// is placed centred in the round trip.
@@ -143,14 +125,7 @@ func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			res.latencies = append(res.latencies, lats...)
-			res.done = append(res.done, done...)
-			res.overheads = append(res.overheads, overs...)
-			res.attempted += attempted
-			res.failed += failed
-			if res.firstFailure == "" {
-				res.firstFailure = first
-			}
+			res = merge(res, lr)
 		}()
 	}
 	wg.Wait()

@@ -8,11 +8,12 @@
 //
 // Usage (normally through run.sh, which builds both binaries):
 //
-//	bixperf -workload tbl-raw-1m -seed 1 -seconds 10 -trace 0 -bixstore ./bixstore -work ./work
+//	bixperf -workload tbl-roaring-lex-1m -seed 1 -seconds 45 -trace 0 -bixstore ./bixstore -work ./work
 //	bixperf -workload idx-cached-64k -seed 1 -repeat 5 ...   # median and quartiles of 5 runs
 //
 // The last line of standard output of a single run is one JSON object
-// with the keys correct, attempted, failed and metrics.
+// with the keys correct, attempted, failed and metrics. A run with a wrong
+// answer still prints it, then exits 1.
 package main
 
 import (
@@ -27,6 +28,10 @@ import (
 	"time"
 )
 
+// runSeconds is the measured duration of one run; BENCHMARK.json's
+// run_seconds must equal it (checked by TestRunSecondsMatchesBenchmark).
+const runSeconds = 45
+
 // config is one benchmark run.
 type config struct {
 	spec     *spec
@@ -34,11 +39,8 @@ type config struct {
 	dur      time.Duration
 	rows     int // 0 = the workload's size
 	bixstore string
-	// cpus is the CPU list (taskset syntax) bixstore runs on; empty means
-	// unpinned. See pinSelf.
-	cpus string
-	work string
-	out  io.Writer // human-readable report lines
+	work     string
+	out      io.Writer // human-readable report lines
 }
 
 type metric struct {
@@ -65,9 +67,10 @@ func main() {
 	var (
 		wl       = flag.String("workload", "", "workload name (tbl-raw-1m, tbl-roaring-lex-1m, idx-cached-64k)")
 		seed     = flag.Int64("seed", 1, "workload seed: data and query stream derive only from it")
-		seconds  = flag.Int("seconds", 10, "measured closed-loop duration")
+		seconds  = flag.Int("seconds", runSeconds, "measured closed-loop duration (BENCHMARK.json run_seconds)")
 		trace    = flag.Int("trace", 0, "1 = traced per-layer run instead of the end-to-end run")
-		repeat   = flag.Int("repeat", 0, "run N times (seeds seed..seed+N-1) and print each metric's median and quartiles")
+		repeat   = flag.Int("repeat", 0, "run N times with the same seed and print each metric's median and quartiles")
+		vary     = flag.Bool("vary-seed", false, "with -repeat, run seeds seed..seed+N-1 instead of one seed N times")
 		bixstore = flag.String("bixstore", "", "bixstore binary built from the tree under test (required)")
 		work     = flag.String("work", ".bench_build/work", "scratch directory for inputs, indexes and spans")
 	)
@@ -80,19 +83,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bixperf:", err)
 		os.Exit(2)
 	}
-	var cpus string
-	if s.ownCPU {
-		if cpus, err = pinSelf(); err != nil {
-			fmt.Fprintln(os.Stderr, "bixperf:", err)
-			os.Exit(1)
-		}
+	if err := pinSelf(); err != nil {
+		fmt.Fprintln(os.Stderr, "bixperf:", err)
+		os.Exit(1)
 	}
 	cfg := config{
 		spec: s, seed: *seed, dur: time.Duration(*seconds) * time.Second,
-		bixstore: *bixstore, cpus: cpus, work: *work, out: os.Stdout,
+		bixstore: *bixstore, work: *work, out: os.Stdout,
 	}
 	if *repeat > 0 {
-		err = repeatRuns(cfg, *repeat, *trace == 1)
+		err = repeatRuns(cfg, *repeat, *vary, *trace == 1)
 	} else {
 		var res *result
 		var line []byte
@@ -101,6 +101,9 @@ func main() {
 		}
 		if err == nil {
 			fmt.Println(string(line))
+			if !res.Correct {
+				err = fmt.Errorf("%d of %d queries failed", res.Failed, res.Attempted)
+			}
 		}
 	}
 	if err != nil {
@@ -125,13 +128,9 @@ type session struct {
 	input string
 	index string
 	log   *os.File
-	// prepared is how long generating the data, answering the stream by
-	// brute force and writing the input file took (not part of setup_s).
-	prepared time.Duration
 }
 
 func newSession(cfg config) (*session, error) {
-	t0 := time.Now()
 	rows := cfg.rows
 	if rows == 0 {
 		rows = cfg.spec.rows
@@ -154,7 +153,6 @@ func newSession(cfg config) (*session, error) {
 	}
 	var err error
 	ss.log, err = os.Create(filepath.Join(ss.dir, "serve.log"))
-	ss.prepared = time.Since(t0)
 	return ss, err
 }
 
@@ -167,10 +165,10 @@ func (ss *session) setup() (*server, time.Duration, error) {
 		return nil, 0, err
 	}
 	t0 := time.Now()
-	if err := buildIndex(ss.cfg.bixstore, ss.cfg.cpus, ss.cfg.spec, ss.input, ss.index); err != nil {
+	if err := buildIndex(ss.cfg.bixstore, ss.cfg.spec, ss.input, ss.index); err != nil {
 		return nil, 0, err
 	}
-	srv, err := startServer(ss.cfg.bixstore, ss.cfg.cpus, ss.cfg.spec, ss.index, ss.log)
+	srv, err := startServer(ss.cfg.bixstore, ss.cfg.spec, ss.index, ss.log)
 	return srv, time.Since(t0), err
 }
 
@@ -240,14 +238,11 @@ func runE2E(cfg config) (*result, error) {
 
 	ss.printf("workload %s seed %d: %d rows, %d connections, closed loop, %v measured after %v warmup\n",
 		s.name, cfg.seed, ss.d.rows, s.conns, meas.elapsed.Round(time.Millisecond), warm.elapsed.Round(time.Millisecond))
-	ss.printf("bixstore CPUs: %q (empty = unpinned); inputs and answers prepared in %v\n",
-		cfg.cpus, ss.prepared.Round(time.Millisecond))
 	ss.printf("setup_s per setup: %.4f\n", setupS)
 	ss.printf("latency samples: %d (%d above p99)\n", len(lat), above)
 	if above < 10 {
 		ss.printf("warning: fewer than 10 samples above p99; run longer for a trustworthy tail\n")
 	}
-	ss.printf("qps per window: %.1f\n", meas.windowRates(15))
 	ss.printf("failed_frac %.6f ratio (%d failed of %d attempted)\n", float64(failed)/float64(attempted), failed, attempted)
 	if warm.firstFailure != "" || meas.firstFailure != "" {
 		ss.printf("first failure: %s%s\n", warm.firstFailure, meas.firstFailure)

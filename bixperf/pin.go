@@ -9,39 +9,32 @@ import (
 	"syscall"
 )
 
-// serverCPUsEnv carries the CPU list for bixstore across the re-exec.
-const serverCPUsEnv = "BIXPERF_SERVER_CPUS"
-
-// pinSelf gives the load generator a CPU of its own. When taskset exists
-// and at least two CPUs are allowed, it re-executes this process under
-// taskset on the last allowed CPU (execve keeps the PID, so no extra
-// process exists) and returns, in the re-executed process, the remaining
-// CPUs for bixstore's builds and server. Otherwise it returns "" and
-// nothing is pinned. Client and server then never compete for a core,
-// which removes most of the run-to-run spread on a two-CPU box.
-func pinSelf() (string, error) {
-	if cpus, ok := os.LookupEnv(serverCPUsEnv); ok {
-		return cpus, nil
-	}
+// pinSelf puts the load generator and, through inherited affinity, every
+// bixstore it starts on one CPU. When taskset exists and more than one CPU
+// is allowed, it re-executes this process under taskset on the last
+// allowed CPU (execve keeps the PID, so no extra process exists); the
+// re-executed process sees one allowed CPU and returns at once.
+//
+// On a virtual machine a client and a server on different vCPUs hand
+// every request across them, and each hand-off may wait for the host to
+// reschedule a halted vCPU. That wait swings with the host's load and
+// dominated the run-to-run spread; on one CPU the hand-off is a local
+// context switch.
+func pinSelf() error {
 	taskset, err := exec.LookPath("taskset")
 	if err != nil {
-		return "", nil
+		return nil
 	}
 	allowed, err := allowedCPUs()
 	if err != nil || len(allowed) < 2 {
-		return "", nil
+		return nil
 	}
 	self, err := os.Executable()
 	if err != nil {
-		return "", err
-	}
-	rest := make([]string, len(allowed)-1)
-	for i, c := range allowed[:len(allowed)-1] {
-		rest[i] = strconv.Itoa(c)
+		return err
 	}
 	args := append([]string{"taskset", "-c", strconv.Itoa(allowed[len(allowed)-1]), self}, os.Args[1:]...)
-	env := append(os.Environ(), serverCPUsEnv+"="+strings.Join(rest, ","))
-	return "", syscall.Exec(taskset, args, env)
+	return syscall.Exec(taskset, args, os.Environ())
 }
 
 // allowedCPUs parses Cpus_allowed_list ("0-3,6") of this process.

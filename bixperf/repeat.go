@@ -8,18 +8,21 @@ import (
 	"sort"
 )
 
-// repeatRuns runs the workload n times with seeds seed..seed+n-1 and
-// prints, per metric, the median, the quartiles (as Python's
+// repeatRuns runs the workload n times with one seed, which is what a
+// comparison of two trees repeats, or with seeds seed..seed+n-1 when vary
+// is set, and prints, per metric, the median, the quartiles (as Python's
 // statistics.quantiles(xs, n=4) gives them) and their spread (Q3-Q1 as a
 // share of the median) beside the bound BENCHMARK.json fixes, if any.
-func repeatRuns(cfg config, n int, traced bool) error {
+func repeatRuns(cfg config, n int, vary, traced bool) error {
 	values := map[string][]float64{}
 	units := map[string]string{}
 	runOut := cfg.out
 	cfg.out = io.Discard
 	base := cfg.seed
 	for i := 0; i < n; i++ {
-		cfg.seed = base + int64(i)
+		if vary {
+			cfg.seed = base + int64(i)
+		}
 		res, err := run(cfg, traced)
 		if err != nil {
 			return err

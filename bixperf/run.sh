@@ -2,7 +2,7 @@
 # Builds bixstore and the bixperf driver from the checkout this script sits
 # in, then runs the driver with the given arguments, e.g.
 #
-#   bash bixperf/run.sh --workload tbl-raw-1m --seed 1 --seconds 10 --trace 0
+#   bash bixperf/run.sh --workload tbl-roaring-lex-1m --seed 1 --seconds 45 --trace 0
 #
 # Everything it writes (Go build cache, binaries, inputs, indexes, spans)
 # stays under .bench_build/ in the checkout.

@@ -23,28 +23,24 @@ type server struct {
 	done chan error
 }
 
-// command runs the program under test, on the given CPU list (taskset
-// syntax) when cpus is not empty. The process is killed if the benchmark
-// dies first.
-func command(cpus, name string, args ...string) *exec.Cmd {
+// command runs the program under test; it inherits the benchmark's CPU
+// affinity. The process is killed if the benchmark dies first.
+func command(name string, args ...string) *exec.Cmd {
 	cmd := exec.Command(name, args...)
-	if cpus != "" {
-		cmd = exec.Command("taskset", append([]string{"-c", cpus, name}, args...)...)
-	}
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	return cmd
 }
 
 // buildIndex runs `bixstore csv` (table mode) or `bixstore build` (index
 // mode) from the input file into dir.
-func buildIndex(bixstore, cpus string, s *spec, input, dir string) error {
+func buildIndex(bixstore string, s *spec, input, dir string) error {
 	args := []string{"csv", "-in", input, "-dir", dir, "-reorder", s.order}
 	if !s.table {
 		args = []string{"build", "-values", input, "-dir", dir,
 			"-C", strconv.Itoa(s.cols[0].card), "-base", s.base}
 	}
 	args = append(args, "-scheme", "BS", "-enc", "range", "-codec", s.codec)
-	out, err := command(cpus, bixstore, args...).CombinedOutput()
+	out, err := command(bixstore, args...).CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("bixstore %s: %v\n%s", args[0], err, out)
 	}
@@ -53,12 +49,12 @@ func buildIndex(bixstore, cpus string, s *spec, input, dir string) error {
 
 // startServer boots `bixstore serve` on an ephemeral loopback port and
 // returns once /readyz answers 200.
-func startServer(bixstore, cpus string, s *spec, dir string, logW io.Writer) (*server, error) {
+func startServer(bixstore string, s *spec, dir string, logW io.Writer) (*server, error) {
 	args := []string{"serve", "-dir", dir, "-addr", "127.0.0.1:0"}
 	if s.cache > 0 {
 		args = append(args, "-cache", strconv.Itoa(s.cache))
 	}
-	cmd := command(cpus, bixstore, args...)
+	cmd := command(bixstore, args...)
 	cmd.Stderr = logW
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

@@ -17,17 +17,10 @@ func percentile(xs []float64, p float64) float64 {
 	return s[max(i, 0)]
 }
 
+// median is Q2 of quartiles, which is the median.
 func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := slices.Clone(xs)
-	slices.Sort(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
+	_, q2, _ := quartiles(xs)
+	return q2
 }
 
 // quartiles returns Q1, Q2, Q3 the way Python's

@@ -35,9 +35,6 @@ type spec struct {
 	// cache is the serve -cache capacity in bitmaps (index mode only).
 	cache int
 	conns int
-	// ownCPU gives the load generator a CPU of its own and bixstore the
-	// rest (see pinSelf). Off when the server should use every CPU.
-	ownCPU bool
 	// setups is how many index builds and server boots a run makes;
 	// setup_s is their median.
 	setups int
@@ -87,7 +84,6 @@ func specs() []*spec {
 			codec:        "roaring",
 			order:        "lex",
 			conns:        1,
-			ownCPU:       true,
 			setups:       3,
 			streamLen:    1024,
 			traceQueries: 128,
@@ -102,7 +98,6 @@ func specs() []*spec {
 			base:         "<10,10>",
 			cache:        9,
 			conns:        1,
-			ownCPU:       true,
 			setups:       21,
 			streamLen:    8192,
 			traceQueries: 4096,
