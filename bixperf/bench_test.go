@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -219,5 +220,43 @@ func TestRunSecondsMatchesBenchmark(t *testing.T) {
 	}
 	if bj.RunSeconds != runSeconds {
 		t.Errorf("BENCHMARK.json run_seconds = %d, -seconds default = %d", bj.RunSeconds, runSeconds)
+	}
+}
+
+// TestSpeedScale checks the scaling to reference speed: a kernel at its
+// nominal time leaves times as they are, one twice as slow halves them,
+// and each span takes the scale of the kernel timings around it.
+func TestSpeedScale(t *testing.T) {
+	var refs []refSample
+	for k := 0; k < 20; k++ {
+		took := refNominal
+		if k >= 10 {
+			took = 2 * refNominal
+		}
+		refs = append(refs, refSample{at: time.Duration(k) * refEvery, took: took})
+	}
+	sc := newSpeedScale(refs)
+	if got := sc.at(refEvery / 2); got != 1 {
+		t.Errorf("scale in the nominal half = %v, want 1", got)
+	}
+	if got := sc.at(15*refEvery + refEvery/2); got != 0.5 {
+		t.Errorf("scale in the slow half = %v, want 0.5", got)
+	}
+	// Nine spans at scale 1, nine at 0.5 and the one between the halves
+	// at 2/3 (its ends smooth to 1 and 2 kernel times).
+	span := refEvery
+	var want float64
+	for k := 0; k < 19; k++ {
+		s := map[bool]float64{true: 1, false: 0.5}[k < 9]
+		if k == 9 {
+			s = 1 / 1.5
+		}
+		want += float64(span-refs[k].took) * s
+	}
+	if got := float64(sc.elapsed()); math.Abs(got-want) > 1 {
+		t.Errorf("elapsed = %v, want %v", time.Duration(got), time.Duration(want))
+	}
+	if raw, want := sc.rawElapsed(), 19*refEvery-28*refNominal; raw != want {
+		t.Errorf("rawElapsed = %v, want %v", raw, want)
 	}
 }

@@ -16,9 +16,15 @@ import (
 // loadResult is what one closed-loop drive observed.
 type loadResult struct {
 	latencies []time.Duration // one per completed request, send to body read
+	starts    []time.Duration // each request's send, as an offset from the loop's start
 	attempted int
 	failed    int
 	elapsed   time.Duration
+	// scaled and scaledElapsed are latencies and elapsed at reference
+	// speed (see speed.go); refMedian is the kernel's median time.
+	scaled        []time.Duration
+	scaledElapsed time.Duration
+	refMedian     time.Duration
 	// overheads holds round trip minus server-reported elapsed_ns, per
 	// successful request (traced drives only).
 	overheads    []time.Duration
@@ -28,10 +34,13 @@ type loadResult struct {
 // merge sums two drives' observations.
 func merge(a, b loadResult) loadResult {
 	a.latencies = append(a.latencies, b.latencies...)
+	a.starts = append(a.starts, b.starts...)
+	a.scaled = append(a.scaled, b.scaled...)
 	a.overheads = append(a.overheads, b.overheads...)
 	a.attempted += b.attempted
 	a.failed += b.failed
 	a.elapsed += b.elapsed
+	a.scaledElapsed += b.scaledElapsed
 	if a.firstFailure == "" {
 		a.firstFailure = b.firstFailure
 	}
@@ -62,8 +71,10 @@ func queryURLs(base string, stream []query) []string {
 // drive runs a closed loop of conns clients against base for dur: each
 // client sends its next request only after reading the previous reply.
 // Clients take stream entries in order from one shared cursor starting at
-// entry 0, wrapping around, and check every answer. When tr is non-nil
-// each request is recorded as a span.
+// entry 0, wrapping around, and check every answer. Every refEvery the
+// loop holds back new requests, waits for those in flight, and times the
+// reference kernel; latencies and elapsed are also returned at reference
+// speed. When tr is non-nil each request is recorded as a span.
 func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer) loadResult {
 	hc := &http.Client{
 		Timeout: 30 * time.Second,
@@ -84,9 +95,34 @@ func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer
 		mu     sync.Mutex
 		res    loadResult
 		wg     sync.WaitGroup
+		// gate is held shared by each request and exclusively by each
+		// kernel timing, so the kernel runs with no request in flight.
+		gate sync.RWMutex
+		refs []refSample
 	)
 	start := time.Now()
 	deadline := start.Add(dur)
+	timeRef := func() {
+		gate.Lock()
+		defer gate.Unlock()
+		at := time.Since(start)
+		refs = append(refs, refSample{at: at, took: refKernel()})
+	}
+	timeRef()
+	stopRef, refDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(refDone)
+		tick := time.NewTicker(refEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopRef:
+				return
+			case <-tick.C:
+				timeRef()
+			}
+		}
+	}()
 	for c := 0; c < conns; c++ {
 		wg.Add(1)
 		go func() {
@@ -98,11 +134,14 @@ func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer
 			for time.Now().Before(deadline) {
 				seq := int(cursor.Add(1) - 1)
 				i := seq % len(stream)
+				gate.RLock()
 				t0 := time.Now()
 				reply, err := fetch(hc, urls[i], &body)
 				lat := time.Since(t0)
+				gate.RUnlock()
 				lr.attempted++
 				lr.latencies = append(lr.latencies, lat)
+				lr.starts = append(lr.starts, t0.Sub(start))
 				if err == nil {
 					err = check(&stream[i], reply)
 				}
@@ -129,7 +168,17 @@ func drive(base string, stream []query, conns int, dur time.Duration, tr *tracer
 		}()
 	}
 	wg.Wait()
-	res.elapsed = time.Since(start)
+	close(stopRef)
+	<-refDone
+	timeRef()
+	sc := newSpeedScale(refs)
+	res.elapsed = sc.rawElapsed()
+	res.scaled = make([]time.Duration, len(res.latencies))
+	for i, lat := range res.latencies {
+		res.scaled[i] = time.Duration(float64(lat) * sc.at(res.starts[i]))
+	}
+	res.scaledElapsed = sc.elapsed()
+	res.refMedian = sc.medianRef()
 	return res
 }
 

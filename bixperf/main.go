@@ -54,6 +54,9 @@ type result struct {
 	Attempted int               `json:"attempted"`
 	Failed    int               `json:"failed"`
 	Metrics   map[string]metric `json:"metrics"`
+	// raw holds the timing metrics before scaling to reference speed,
+	// for the repeat summary.
+	raw map[string]float64
 }
 
 func (r *result) set(name string, v float64, unit string) {
@@ -192,32 +195,48 @@ func runE2E(cfg config) (*result, error) {
 	defer ss.close()
 	s := cfg.spec
 	var (
-		setupS []float64
-		srv    *server
+		setupS, setupRaw []float64
+		srv              *server
 	)
 	for k := 0; k < s.setups; k++ {
 		if srv != nil {
 			srv.stop()
 		}
+		// The kernel is timed right before and after each setup, which is
+		// scaled to reference speed by their mean (speed.go).
+		before := refMedian(5)
 		var took time.Duration
 		if srv, took, err = ss.setup(); err != nil {
 			return nil, err
 		}
-		setupS = append(setupS, took.Seconds())
+		ref := (before + refMedian(5)) / 2
+		setupRaw = append(setupRaw, took.Seconds())
+		setupS = append(setupS, took.Seconds()*float64(refNominal)/float64(ref))
 	}
 	warm := ss.warmup(srv)
+	var (
+		peaks   []float64
+		rssErr  error
+		rssDone = make(chan struct{})
+		stopRSS = make(chan struct{})
+	)
+	go func() {
+		defer close(rssDone)
+		peaks, rssErr = srv.windowPeaks(stopRSS)
+	}()
 	meas := drive(srv.base, ss.d.stream, s.conns, cfg.dur, nil)
-	rss, rssErr := srv.peakRSSMiB()
+	close(stopRSS)
+	<-rssDone
 	srv.stop()
 	if rssErr != nil {
-		return nil, rssErr
+		return nil, fmt.Errorf("server peak resident set: %w", rssErr)
 	}
 	ixBytes, err := dirBytes(ss.index)
 	if err != nil {
 		return nil, err
 	}
 
-	lat := micros(meas.latencies)
+	lat := micros(meas.scaled)
 	p99 := percentile(lat, 0.99)
 	above := 0
 	for _, l := range lat {
@@ -229,16 +248,27 @@ func runE2E(cfg config) (*result, error) {
 	failed := warm.failed + meas.failed
 	res := &result{Correct: failed == 0, Attempted: attempted, Failed: failed}
 	res.set("setup_s", median(setupS), "s")
-	res.set("qps", float64(meas.attempted)/meas.elapsed.Seconds(), "1/s")
+	res.set("qps", float64(meas.attempted)/meas.scaledElapsed.Seconds(), "1/s")
 	res.set("latency_p50_ms", percentile(lat, 0.5)/1e3, "ms")
 	res.set("latency_p99_ms", p99/1e3, "ms")
 	res.set("success_frac", 1-float64(failed)/float64(attempted), "ratio")
 	res.set("index_bytes_per_row", float64(ixBytes)/float64(ss.d.rows), "B")
-	res.set("server_peak_rss_mb", rss, "MiB")
+	res.set("server_peak_rss_mb", median(peaks), "MiB")
 
 	ss.printf("workload %s seed %d: %d rows, %d connections, closed loop, %v measured after %v warmup\n",
 		s.name, cfg.seed, ss.d.rows, s.conns, meas.elapsed.Round(time.Millisecond), warm.elapsed.Round(time.Millisecond))
+	rawLat := micros(meas.latencies)
+	res.raw = map[string]float64{
+		"setup_s":        median(setupRaw),
+		"qps":            float64(meas.attempted) / meas.elapsed.Seconds(),
+		"latency_p50_ms": percentile(rawLat, 0.5) / 1e3,
+		"latency_p99_ms": percentile(rawLat, 0.99) / 1e3,
+	}
+	ss.printf("raw, before scaling to reference speed: setup_s %.4f, qps %.6g, latency_p50_ms %.6g, latency_p99_ms %.6g\n",
+		res.raw["setup_s"], res.raw["qps"], res.raw["latency_p50_ms"], res.raw["latency_p99_ms"])
+	ss.printf("reference kernel: median %v in the loop (%v at reference speed)\n", meas.refMedian, refNominal)
 	ss.printf("setup_s per setup: %.4f\n", setupS)
+	ss.printf("server peak resident set per %v window, MiB: %.1f\n", rssWindow, peaks)
 	ss.printf("latency samples: %d (%d above p99)\n", len(lat), above)
 	if above < 10 {
 		ss.printf("warning: fewer than 10 samples above p99; run longer for a trustworthy tail\n")

@@ -13,6 +13,8 @@ import (
 // is set, and prints, per metric, the median, the quartiles (as Python's
 // statistics.quantiles(xs, n=4) gives them) and their spread (Q3-Q1 as a
 // share of the median) beside the bound BENCHMARK.json fixes, if any.
+// A timing metric scaled to reference speed also gets a "raw <name>" row
+// with its figures before scaling.
 func repeatRuns(cfg config, n int, vary, traced bool) error {
 	values := map[string][]float64{}
 	units := map[string]string{}
@@ -35,6 +37,10 @@ func repeatRuns(cfg config, n int, vary, traced bool) error {
 		for name, m := range res.Metrics {
 			values[name] = append(values[name], m.Value)
 			units[name] = m.Unit
+			if v, ok := res.raw[name]; ok {
+				values["raw "+name] = append(values["raw "+name], v)
+				units["raw "+name] = m.Unit
+			}
 		}
 	}
 	bounds := loadBounds("BENCHMARK.json") // run.sh runs from the checkout root

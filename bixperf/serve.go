@@ -136,6 +136,46 @@ func (s *server) peakRSSMiB() (float64, error) {
 	return 0, fmt.Errorf("no VmHWM in /proc/%d/status", s.cmd.Process.Pid)
 }
 
+// resetPeakRSS sets the server's VmHWM back to its current resident set.
+func (s *server) resetPeakRSS() error {
+	return os.WriteFile(fmt.Sprintf("/proc/%d/clear_refs", s.cmd.Process.Pid), []byte("5"), 0)
+}
+
+// rssWindow is the length of the windows whose peak resident sets the
+// end-to-end run reports the median of.
+const rssWindow = 5 * time.Second
+
+// windowPeaks resets the server's VmHWM, then reads and resets it every
+// rssWindow until stop is closed, and once more then. It returns each
+// window's peak in MiB.
+func (s *server) windowPeaks(stop <-chan struct{}) ([]float64, error) {
+	if err := s.resetPeakRSS(); err != nil {
+		return nil, err
+	}
+	tick := time.NewTicker(rssWindow)
+	defer tick.Stop()
+	var peaks []float64
+	for {
+		var done bool
+		select {
+		case <-stop:
+			done = true
+		case <-tick.C:
+		}
+		p, err := s.peakRSSMiB()
+		if err != nil {
+			return peaks, err
+		}
+		peaks = append(peaks, p)
+		if done {
+			return peaks, nil
+		}
+		if err := s.resetPeakRSS(); err != nil {
+			return peaks, err
+		}
+	}
+}
+
 // stop sends SIGTERM (graceful drain), escalates to SIGKILL after ten
 // seconds, and waits until the process has exited.
 func (s *server) stop() {

@@ -144,8 +144,8 @@ func runTraced(cfg config) (*result, error) {
 	srv.stop()
 	fail(plain)
 	fail(traced)
-	qpsPlain := float64(plain.attempted) / plain.elapsed.Seconds()
-	qpsTraced := float64(traced.attempted) / traced.elapsed.Seconds()
+	qpsPlain := float64(plain.attempted) / plain.scaledElapsed.Seconds()
+	qpsTraced := float64(traced.attempted) / traced.scaledElapsed.Seconds()
 
 	ls := &layerStats{us: make(map[string][]float64)}
 	var mem []*core.Index

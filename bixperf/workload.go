@@ -71,7 +71,7 @@ func specs() []*spec {
 			order:        "none",
 			conns:        2,
 			setups:       5,
-			streamLen:    1024,
+			streamLen:    2048,
 			traceQueries: 192,
 			query:        conjunction,
 		},
@@ -85,7 +85,7 @@ func specs() []*spec {
 			order:        "lex",
 			conns:        1,
 			setups:       3,
-			streamLen:    1024,
+			streamLen:    2048,
 			traceQueries: 128,
 			query:        conjunction,
 		},
