@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint lint-timings sarif race bixdebug scaling \
+.PHONY: all build vet test lint lint-timings sarif race bixdebug bixperf scaling \
 	fuzz ci cover bench-baseline bench-compare
 
 all: build
@@ -38,8 +38,8 @@ race:
 	$(GO) test -race ./...
 
 bixdebug:
-	$(GO) test -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/core
-	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload
+	$(GO) test -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/core ./internal/cost
+	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/cost ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload
 
 # Whole-tree statement coverage; open with `go tool cover -html=coverage.out`.
 cover:
@@ -69,8 +69,14 @@ bench-compare:
 	$(GO) run ./cmd/bixbench -suite advisor -rows 65536 -seed 1 -json /tmp/bixbench-advisor-new.json
 	$(GO) run ./cmd/bixbench -compare BENCH_advisor.json /tmp/bixbench-advisor-new.json
 
+# The nested bixperf module (the serve-level benchmark) is outside the
+# root module's ./..., so it is vetted and tested on its own.
+bixperf:
+	cd bixperf && $(GO) vet ./... && $(GO) test ./...
+
 # The full gate: build + vet + lint + race-enabled tests, same order as CI.
 # Equivalent to `go run ./cmd/bixlint -ci`.
 ci:
 	$(GO) run ./cmd/bixlint -ci
+	$(MAKE) bixperf
 	$(MAKE) bixdebug

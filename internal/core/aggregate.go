@@ -38,7 +38,6 @@ func (ix *Index) SumSelected(sel *bitvec.Vector) (sum uint64, n int, err error) 
 	if n == 0 {
 		return 0, 0, nil
 	}
-	qc := newQctx(ix, nil)
 	weight := uint64(1)
 	for i, bi := range ix.base {
 		var digitSum uint64
@@ -58,7 +57,7 @@ func (ix *Index) SumSelected(sel *bitvec.Vector) (sum uint64, n int, err error) 
 			}
 		case IntervalEncoded:
 			for d := uint64(1); d < bi; d++ {
-				digitSum += d * uint64(bitvec.AndCount(qc.ivEQDigit(i, d), selNN))
+				digitSum += d * uint64(bitvec.AndCount(ix.ivDigitEQ(i, d), selNN))
 			}
 		default:
 			return 0, 0, fmt.Errorf("core: unknown encoding %v", ix.enc)
@@ -67,6 +66,14 @@ func (ix *Index) SumSelected(sel *bitvec.Vector) (sum uint64, n int, err error) 
 		weight *= bi
 	}
 	return sum, n, nil
+}
+
+// ivDigitEQ returns the rows of an interval-encoded index whose i-th digit
+// is d (null rows may be included), compiled and run like a predicate.
+func (ix *Index) ivDigitEQ(i int, d uint64) *bitvec.Vector {
+	b := newProgBuilder(ix.shape())
+	b.seal(b.compileIvEQDigit(i, d))
+	return ix.exec(b.p, nil)
 }
 
 // AvgSelected returns the mean of the indexed values over the selected

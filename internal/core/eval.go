@@ -2,12 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"bitmapindex/internal/bitvec"
-	"bitmapindex/internal/flight"
-	"bitmapindex/internal/invariant"
-	"bitmapindex/internal/profile"
 	"bitmapindex/internal/telemetry"
 )
 
@@ -126,212 +122,42 @@ type EvalOptions struct {
 	Buffered func(comp, slot int) bool
 	// Fetch, when non-nil, overrides in-memory bitmap access: the
 	// evaluator obtains stored bitmap slot j of component i by calling
-	// Fetch(i, j). Required for shell indexes (NewShell); the returned
-	// vector must have Rows() bits and must not be retained or mutated by
-	// Fetch after returning.
+	// Fetch(i, j), once per distinct bitmap per evaluation and right after
+	// Buffered, if set, was asked about the same bitmap. Required for
+	// shell indexes (NewShell); the returned vector must have Rows() bits
+	// and must not be retained or mutated by Fetch after returning.
 	Fetch func(comp, slot int) *bitvec.Vector
 	// Trace, when non-nil, accumulates per-phase wall-clock durations
 	// (bitmap fetch, boolean ops, ...) for this evaluation.
 	Trace *telemetry.Trace
 }
 
-// qctx is the per-query evaluation context: instrumentation plus the
-// per-query fetch cache that makes "scans" mean distinct bitmaps read.
-type qctx struct {
-	ix      *Index
-	st      *Stats
-	buf     func(comp, slot int) bool
-	fetchFn func(comp, slot int) *bitvec.Vector
-	tr      *telemetry.Trace
-	seen    map[uint64]bool
-}
-
-func newQctx(ix *Index, opt *EvalOptions) *qctx {
-	qc := &qctx{ix: ix}
-	if opt != nil {
-		qc.st = opt.Stats
-		qc.buf = opt.Buffered
-		qc.fetchFn = opt.Fetch
-		qc.tr = opt.Trace
+// addRun accumulates one evaluation's scans and operation counts into s;
+// a nil s is a no-op.
+func (s *Stats) addRun(scans int, ops Stats) {
+	if s == nil {
+		return
 	}
-	if qc.st != nil {
-		// Allocated here, once per query, so the per-bitmap fetch path
-		// stays allocation-free.
-		qc.seen = make(map[uint64]bool, 8)
-	}
-	return qc
-}
-
-// fetch returns stored bitmap slot j of component i, counting a scan the
-// first time each bitmap is read within this query (unless buffered).
-//
-//bix:hotpath
-func (qc *qctx) fetch(i, j int) *bitvec.Vector {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseFetch).End()
-	}
-	if qc.st != nil {
-		key := uint64(i)<<32 | uint64(uint32(j))
-		if !qc.seen[key] {
-			qc.seen[key] = true
-			if qc.buf == nil || !qc.buf(i, j) {
-				qc.st.Scans++
-			}
-		}
-	}
-	if qc.fetchFn != nil {
-		return qc.fetchFn(i, j)
-	}
-	return qc.ix.comps[i][j]
-}
-
-//bix:hotpath
-func (qc *qctx) and(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.And(src)
-	if qc.st != nil {
-		qc.st.Ands++
-	}
-}
-
-//bix:hotpath
-func (qc *qctx) or(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.Or(src)
-	if qc.st != nil {
-		qc.st.Ors++
-	}
-}
-
-//bix:hotpath
-func (qc *qctx) xor(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.Xor(src)
-	if qc.st != nil {
-		qc.st.Xors++
-	}
-}
-
-//bix:hotpath
-func (qc *qctx) not(dst *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.Not()
-	if qc.st != nil {
-		qc.st.Nots++
-	}
-}
-
-// andNot counts as one AND plus one NOT, matching the paper's operation
-// inventory (AND, OR, XOR, NOT).
-//
-//bix:hotpath
-func (qc *qctx) andNot(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.AndNot(src)
-	if qc.st != nil {
-		qc.st.Ands++
-		qc.st.Nots++
-	}
-}
-
-func (qc *qctx) zeros() *bitvec.Vector { return bitvec.New(qc.ix.rows) }
-func (qc *qctx) ones() *bitvec.Vector  { return bitvec.NewOnes(qc.ix.rows) }
-
-// nonNull returns a fresh copy of B_nn (reading B_nn is not counted as a
-// scan: the paper's scan counts are over the value bitmaps).
-func (qc *qctx) nonNull() *bitvec.Vector { return qc.ix.nn.Clone() }
-
-// finishPositive AND-masks a result that was built only from stored value
-// bitmaps ORed together; such results can only contain non-null rows
-// already, except when they started from the implicit all-ones bitmap.
-func (qc *qctx) maskNN(b *bitvec.Vector) *bitvec.Vector {
-	if qc.ix.hasNulls {
-		qc.and(b, qc.ix.nn)
-	}
-	return b
+	s.Add(ops)
+	s.Scans += scans
 }
 
 // Eval evaluates the selection predicate (A op v) and returns the bitmap of
 // qualifying records. For range-encoded indexes it uses RangeEval-Opt; for
-// equality-encoded indexes it uses the equality evaluator. v may be any
-// uint64; values >= Cardinality are handled by their natural semantics.
+// equality- and interval-encoded indexes the evaluators of those
+// encodings. v may be any uint64; values >= Cardinality are handled by
+// their natural semantics.
+//
+// The predicate is compiled into a bitmap program (segprog.go) that runs
+// over the rows on the calling goroutine, a window of 2^DefaultSegBits
+// bits at a time; SegmentedEval runs the same program on a worker pool.
 //
 // Every Eval also publishes its scan and operation counts plus wall-clock
-// latency to the process-wide telemetry registry (telemetry.Default), so
-// the paper's two cost measures are observable without threading a Stats
-// through every caller. Calling the encoding-specific evaluators directly
-// bypasses the registry.
+// latency to the process-wide telemetry registry (telemetry.Default) and
+// the flight recorder, so the paper's two cost measures are observable
+// without threading a Stats through every caller.
 func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	var o EvalOptions
-	if opt != nil {
-		o = *opt
-	}
-	var local Stats
-	if o.Stats == nil {
-		o.Stats = &local
-	}
-	before := *o.Stats
-	hits0, misses0 := telemetry.CacheHitsTotal.Value(), telemetry.CacheMissesTotal.Value()
-	t0 := time.Now()
-	var res *bitvec.Vector
-	var plan string
-	profile.Do(o.Trace.ID(), "eval", func() {
-		switch ix.enc {
-		case RangeEncoded:
-			plan = planEvalRange
-			res = ix.EvalRangeOpt(op, v, &o)
-		case EqualityEncoded:
-			plan = planEvalEquality
-			res = ix.EvalEquality(op, v, &o)
-		case IntervalEncoded:
-			plan = planEvalInterval
-			res = ix.EvalInterval(op, v, &o)
-		default:
-			panic("core: unknown encoding")
-		}
-	})
-	d := *o.Stats
-	if invariant.Enabled {
-		invariant.TailZero(res.Words(), res.Len())
-		if ix.enc == RangeEncoded {
-			// Cross-check the paper's Section 3 claim under -tags bixdebug:
-			// RangeEval-Opt agrees with RangeEval on every predicate and,
-			// for range operators, never performs more bitmap operations.
-			// (Equality operators are excluded from the op comparison: on a
-			// nullable index the single-bitmap rewrite pays one extra AND
-			// with B_nn that the B_EQ chain does not.)
-			var ns Stats
-			nres := ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &ns, Fetch: o.Fetch})
-			invariant.Assert(nres.Equal(res), "core: RangeEval disagrees with RangeEval-Opt")
-			if op.IsRange() {
-				invariant.OptNoWorse(d.Ops()-before.Ops(), ns.Ops(),
-					"core: RangeEval-Opt vs RangeEval, op "+op.String())
-			}
-		}
-	}
-	elapsed := time.Since(t0)
-	telemetry.RecordEval(d.Scans-before.Scans, d.Ands-before.Ands,
-		d.Ors-before.Ors, d.Xors-before.Xors, d.Nots-before.Nots, elapsed, o.Trace)
-	frec := flight.Record{
-		TraceID: o.Trace.ID(), Plan: plan, Op: op.String(), Value: v,
-		Total: elapsed, Rows: -1,
-		Scans: d.Scans - before.Scans, Ands: d.Ands - before.Ands,
-		Ors: d.Ors - before.Ors, Xors: d.Xors - before.Xors,
-		Nots:        d.Nots - before.Nots,
-		CacheHits:   telemetry.CacheHitsTotal.Value() - hits0,
-		CacheMisses: telemetry.CacheMissesTotal.Value() - misses0,
-	}
-	flight.Default().Add(&frec, o.Trace)
+	res, _, _ := ix.segRun(op, v, opt, SegConfig{Workers: 1}, segMaterialize, ix.evalPlan(), telemetry.PhaseBoolOps)
 	return res
 }
 
@@ -346,19 +172,15 @@ const (
 	planEvalSegmented = "eval-segmented"
 )
 
-// trivialResult handles predicate constants outside [0, C): for those, the
-// answer does not depend on any bitmap. ok is false when the predicate
-// needs real evaluation.
-func (qc *qctx) trivialResult(op Op, v uint64) (*bitvec.Vector, bool) {
-	c := qc.ix.card
-	if v < c {
-		return nil, false
-	}
-	switch op {
-	case Lt, Le, Ne:
-		return qc.nonNull(), true
-	default: // Gt, Ge, Eq
-		return qc.zeros(), true
+// evalPlan returns Eval's plan tag for the index's encoding.
+func (ix *Index) evalPlan() string {
+	switch ix.enc {
+	case RangeEncoded:
+		return planEvalRange
+	case EqualityEncoded:
+		return planEvalEquality
+	default:
+		return planEvalInterval
 	}
 }
 

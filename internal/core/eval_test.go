@@ -25,18 +25,21 @@ func referenceEval(vals []uint64, nulls []bool, op Op, v uint64) *bitvec.Vector 
 
 type evalFn func(ix *Index, op Op, v uint64, opt *EvalOptions) *bitvec.Vector
 
+// segmentedOneWord runs the segmented path with one-word windows, so even
+// the small indexes of the exhaustive tests span several segments.
+func segmentedOneWord(ix *Index, op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
+	return ix.SegmentedEval(op, v, opt, SegConfig{SegBits: MinSegBits, Workers: 2})
+}
+
 func allEvaluators(enc Encoding) map[string]evalFn {
+	fns := map[string]evalFn{
+		"Eval":      (*Index).Eval,
+		"Segmented": segmentedOneWord,
+	}
 	if enc == RangeEncoded {
-		return map[string]evalFn{
-			"RangeEvalOpt":   (*Index).EvalRangeOpt,
-			"RangeEvalNaive": (*Index).EvalRangeNaive,
-			"Eval":           (*Index).Eval,
-		}
+		fns["RangeEvalNaive"] = (*Index).EvalRangeNaive
 	}
-	return map[string]evalFn{
-		"EqualityEval": (*Index).EvalEquality,
-		"Eval":         (*Index).Eval,
-	}
+	return fns
 }
 
 // TestEvalExhaustiveSmall checks every evaluator against the reference for
@@ -96,8 +99,8 @@ func TestEvalExhaustiveSmall(t *testing.T) {
 	}
 }
 
-// TestEvalAgreementProperty is a quick-check that the two range evaluators
-// and the reference always agree on random inputs.
+// TestEvalAgreementProperty is a quick-check that RangeEval-Opt (Eval),
+// RangeEval and the reference always agree on random inputs.
 func TestEvalAgreementProperty(t *testing.T) {
 	f := func(seed int64, rawOp uint8, v uint64, b1, b2 uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -115,7 +118,7 @@ func TestEvalAgreementProperty(t *testing.T) {
 			return false
 		}
 		want := referenceEval(vals, nil, op, v)
-		return ix.EvalRangeOpt(op, v, nil).Equal(want) &&
+		return ix.Eval(op, v, nil).Equal(want) &&
 			ix.EvalRangeNaive(op, v, nil).Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -127,10 +130,10 @@ func TestEvalWrongEncodingPanics(t *testing.T) {
 	ix, _ := Build([]uint64{0, 1}, 2, Base{2}, EqualityEncoded, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("EvalRangeOpt on equality-encoded index did not panic")
+			t.Fatal("EvalRangeNaive on equality-encoded index did not panic")
 		}
 	}()
-	ix.EvalRangeOpt(Le, 0, nil)
+	ix.EvalRangeNaive(Le, 0, nil)
 }
 
 // TestOptNeverMoreScansThanNaive verifies the paper's Section 3 claim: the
@@ -152,7 +155,7 @@ func TestOptNeverMoreScansThanNaive(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var so, sn Stats
-				ix.EvalRangeOpt(op, v, &EvalOptions{Stats: &so})
+				ix.Eval(op, v, &EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &sn})
 				if so.Scans > sn.Scans {
 					t.Fatalf("base %v A %s %d: opt scans %d > naive %d", base, op, v, so.Scans, sn.Scans)
@@ -187,7 +190,7 @@ func TestScanBounds(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var so, sn Stats
-				ix.EvalRangeOpt(op, v, &EvalOptions{Stats: &so})
+				ix.Eval(op, v, &EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &sn})
 				maxOpt := 2*n - 1
 				if !op.IsRange() {
@@ -218,7 +221,7 @@ func TestEqualityEvalScanBounds(t *testing.T) {
 		ix, _ := Build(vals, card, base, EqualityEncoded, nil)
 		for v := uint64(0); v < card; v++ {
 			var s Stats
-			ix.EvalEquality(Eq, v, &EvalOptions{Stats: &s})
+			ix.Eval(Eq, v, &EvalOptions{Stats: &s})
 			if s.Scans != base.N() {
 				t.Fatalf("base %v A = %d: scans %d, want %d", base, v, s.Scans, base.N())
 			}
@@ -230,7 +233,7 @@ func TestEqualityEvalScanBounds(t *testing.T) {
 		for _, op := range []Op{Lt, Le, Gt, Ge} {
 			for v := uint64(0); v < card; v++ {
 				var s Stats
-				ix.EvalEquality(op, v, &EvalOptions{Stats: &s})
+				ix.Eval(op, v, &EvalOptions{Stats: &s})
 				if s.Scans > budget {
 					t.Fatalf("base %v A %s %d: scans %d > budget %d", base, op, v, s.Scans, budget)
 				}
@@ -279,8 +282,8 @@ func TestBufferedScansNotCounted(t *testing.T) {
 	vals := []uint64{0, 5, 9, 3, 7, 2}
 	ix, _ := Build(vals, 10, Base{5, 2}, RangeEncoded, nil)
 	var unbuf, buf Stats
-	ix.EvalRangeOpt(Le, 7, &EvalOptions{Stats: &unbuf})
-	ix.EvalRangeOpt(Le, 7, &EvalOptions{
+	ix.Eval(Le, 7, &EvalOptions{Stats: &unbuf})
+	ix.Eval(Le, 7, &EvalOptions{
 		Stats:    &buf,
 		Buffered: func(comp, slot int) bool { return comp == 0 },
 	})
@@ -307,7 +310,7 @@ func TestFigure7Example(t *testing.T) {
 		t.Fatal(err)
 	}
 	var so, sn Stats
-	got := ix.EvalRangeOpt(Le, 62, &EvalOptions{Stats: &so})
+	got := ix.Eval(Le, 62, &EvalOptions{Stats: &so})
 	naive := ix.EvalRangeNaive(Le, 62, &EvalOptions{Stats: &sn})
 	want := referenceEval(vals, nil, Le, 62)
 	if !got.Equal(want) || !naive.Equal(want) {
@@ -330,7 +333,7 @@ func BenchmarkEvalRangeOptLe(b *testing.B) {
 	ix, _ := Build(vals, 1000, Base{10, 10, 10}, RangeEncoded, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.EvalRangeOpt(Le, uint64(i%1000), nil)
+		ix.Eval(Le, uint64(i%1000), nil)
 	}
 }
 

@@ -49,15 +49,14 @@ func TestIntervalExhaustive(t *testing.T) {
 			}
 			for _, op := range AllOps {
 				for v := uint64(0); v < c.card+2; v++ {
-					got := ix.EvalInterval(op, v, nil)
+					got := ix.Eval(op, v, nil)
 					want := referenceEval(vals, nulls, op, v)
 					if !got.Equal(want) {
 						t.Fatalf("base %v nulls=%v: A %s %d\n got %s\nwant %s",
 							c.base, withNulls, op, v, got, want)
 					}
-					// The generic dispatcher must route here too.
-					if !ix.Eval(op, v, nil).Equal(want) {
-						t.Fatalf("base %v: Eval dispatch differs for A %s %d", c.base, op, v)
+					if !segmentedOneWord(ix, op, v, nil).Equal(want) {
+						t.Fatalf("base %v: segmented result differs for A %s %d", c.base, op, v)
 					}
 				}
 			}
@@ -134,7 +133,7 @@ func TestIntervalScanBounds(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var st Stats
-				ix.EvalInterval(op, v, &EvalOptions{Stats: &st})
+				ix.Eval(op, v, &EvalOptions{Stats: &st})
 				max := 4 * base.N()
 				if !op.IsRange() {
 					max = 2 * base.N()

@@ -1,7 +1,5 @@
 package core
 
-import "bitmapindex/internal/bitvec"
-
 // Interval encoding is the third encoding scheme, included as an extension
 // beyond the paper's two (the same group's follow-up work): component i
 // stores m_i = ceil(b_i/2) bitmaps, where window bitmap I_i^j marks
@@ -19,135 +17,6 @@ import "bitmapindex/internal/bitvec"
 // so interval encoding roughly halves the space of range encoding at up to
 // twice the scans — a new family of points in the space-time tradeoff.
 
-// EvalInterval evaluates (A op v) on an interval-encoded index.
-func (ix *Index) EvalInterval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	ix.mustBe(IntervalEncoded)
-	qc := newQctx(ix, opt)
-	if r, ok := qc.trivialResult(op, v); ok {
-		return r
-	}
-	switch op {
-	case Eq:
-		return qc.maskNN(qc.ivEQChain(v))
-	case Ne:
-		B := qc.ivEQChain(v)
-		qc.not(B)
-		return qc.maskNN(B)
-	case Lt:
-		if v == 0 {
-			return qc.zeros()
-		}
-		return qc.ivLT(v)
-	case Ge:
-		if v == 0 {
-			return qc.nonNull()
-		}
-		B := qc.ivLT(v)
-		qc.not(B)
-		return qc.maskNN(B)
-	case Le:
-		if v >= ix.card-1 {
-			return qc.nonNull()
-		}
-		return qc.ivLT(v + 1)
-	default: // Gt
-		if v >= ix.card-1 {
-			return qc.zeros()
-		}
-		B := qc.ivLT(v + 1)
-		qc.not(B)
-		return qc.maskNN(B)
-	}
-}
-
 // ivWindows returns m_i, the number of stored window bitmaps of component
 // i under interval encoding.
 func ivWindows(b uint64) int { return int((b + 1) / 2) }
-
-// ivEQDigit returns a fresh bitmap of records whose i-th digit equals d.
-// Complement cases may include null rows; callers AND the result with a
-// null-free prefix (or mask with B_nn at the end).
-func (qc *qctx) ivEQDigit(i int, d uint64) *bitvec.Vector {
-	bi := qc.ix.base[i]
-	m := uint64(ivWindows(bi))
-	switch {
-	case d < m-1:
-		t := qc.fetch(i, int(d)).Clone()
-		qc.andNot(t, qc.fetch(i, int(d+1)))
-		return t
-	case d == m-1:
-		t := qc.fetch(i, int(m-1)).Clone()
-		if m > 1 {
-			qc.and(t, qc.fetch(i, 0))
-		}
-		return t
-	case d <= 2*m-2:
-		t := qc.fetch(i, int(d-m+1)).Clone()
-		qc.andNot(t, qc.fetch(i, int(d-m)))
-		return t
-	default: // d == 2m-1: the one digit outside every window (even b)
-		t := qc.fetch(i, 0).Clone()
-		if m > 1 {
-			qc.or(t, qc.fetch(i, int(m-1)))
-		}
-		qc.not(t)
-		return t
-	}
-}
-
-// ivLEDigit returns a fresh bitmap of records whose i-th digit is <= w,
-// for 0 <= w <= b_i-2 (w = b_i-1 is the implicit all-ones).
-func (qc *qctx) ivLEDigit(i int, w uint64) *bitvec.Vector {
-	bi := qc.ix.base[i]
-	m := uint64(ivWindows(bi))
-	switch {
-	case w < m-1:
-		t := qc.fetch(i, 0).Clone()
-		qc.andNot(t, qc.fetch(i, int(w+1)))
-		return t
-	case w == m-1:
-		return qc.fetch(i, 0).Clone()
-	default: // m <= w <= 2m-2, always within range since w <= b-2
-		t := qc.fetch(i, 0).Clone()
-		qc.or(t, qc.fetch(i, int(w-m+1)))
-		return t
-	}
-}
-
-// ivEQChain computes (A = v) as the AND over components of digit equality.
-func (qc *qctx) ivEQChain(v uint64) *bitvec.Vector {
-	digits := qc.ix.base.Decompose(v, nil)
-	var B *bitvec.Vector
-	for i := range qc.ix.base {
-		e := qc.ivEQDigit(i, digits[i])
-		if B == nil {
-			B = e
-			continue
-		}
-		qc.and(B, e)
-	}
-	return B
-}
-
-// ivLT computes (A < v) for 1 <= v <= C with the most-significant-first
-// expansion, exactly like the equality-encoded evaluator but with interval
-// digit primitives.
-func (qc *qctx) ivLT(v uint64) *bitvec.Vector {
-	ix := qc.ix
-	digits := ix.base.Decompose(v, nil)
-	R := qc.zeros()
-	P := qc.nonNull()
-	for i := len(ix.base) - 1; i >= 0; i-- {
-		di := digits[i]
-		if di > 0 {
-			lt := qc.ivLEDigit(i, di-1)
-			qc.and(lt, P)
-			qc.or(R, lt)
-		}
-		if i > 0 {
-			e := qc.ivEQDigit(i, di)
-			qc.and(P, e)
-		}
-	}
-	return R
-}

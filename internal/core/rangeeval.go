@@ -1,173 +1,16 @@
 package core
 
-import (
-	"bitmapindex/internal/bitvec"
-	"bitmapindex/internal/invariant"
-)
-
-// EvalRangeOpt evaluates (A op v) on a range-encoded index using the
-// paper's improved Algorithm RangeEval-Opt (Section 3, Figure 6 right).
-//
-// Range predicates are rewritten in terms of <= using the identities
-// A < v == A <= v-1, A > v == NOT(A <= v), A >= v == NOT(A <= v-1), so a
-// single bitmap B is maintained instead of the B_EQ/B_LT/B_GT triple of
-// Algorithm RangeEval. Component 1 initializes B directly; each further
-// component i contributes at most one AND (with B_i^{v_i}, skipped when
-// v_i = b_i - 1, whose bitmap is the implicit all-ones) and one OR (with
-// B_i^{v_i - 1}, skipped when v_i = 0).
-func (ix *Index) EvalRangeOpt(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	ix.mustBe(RangeEncoded)
-	qc := newQctx(ix, opt)
-	if r, ok := qc.trivialResult(op, v); ok {
-		return r
-	}
-	if !op.IsRange() {
-		B := qc.rangeEqChain(v)
-		if op == Ne {
-			qc.not(B)
-		}
-		return qc.maskNN(B)
-	}
-
-	// Reduce to (A <= w), negating for > and >=.
-	neg := op == Gt || op == Ge
-	w := v
-	underflow := false
-	if op == Lt || op == Ge {
-		if v == 0 {
-			underflow = true // A <= -1: empty
-		} else {
-			w = v - 1
-		}
-	}
-	var B *bitvec.Vector
-	if underflow {
-		B = qc.zeros()
-	} else {
-		digits := ix.base.Decompose(w, nil)
-		invariant.DigitsInBase(digits, ix.base)
-		if digits[0] < ix.base[0]-1 {
-			B = qc.fetch(0, int(digits[0])).Clone()
-		} else {
-			B = qc.ones()
-		}
-		for i := 1; i < len(ix.base); i++ {
-			bi, di := ix.base[i], digits[i]
-			if di != bi-1 {
-				qc.and(B, qc.fetch(i, int(di)))
-			}
-			if di != 0 {
-				qc.or(B, qc.fetch(i, int(di-1)))
-			}
-		}
-	}
-	if neg {
-		qc.not(B)
-	}
-	return qc.maskNN(B)
-}
-
-// rangeEqChain computes the equality bitmap (A = v) on a range-encoded
-// index: per component, digit equality is B_i^{v_i} XOR B_i^{v_i-1}
-// (degenerating to a single bitmap or its complement at the digit extremes).
-func (qc *qctx) rangeEqChain(v uint64) *bitvec.Vector {
-	ix := qc.ix
-	digits := ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, ix.base)
-	B := qc.ones()
-	for i, bi := range ix.base {
-		di := digits[i]
-		switch {
-		case di == 0:
-			qc.and(B, qc.fetch(i, 0))
-		case di == bi-1:
-			t := qc.fetch(i, int(bi-2)).Clone()
-			qc.not(t)
-			qc.and(B, t)
-		default:
-			t := qc.fetch(i, int(di)).Clone()
-			qc.xor(t, qc.fetch(i, int(di-1)))
-			qc.and(B, t)
-		}
-	}
-	return B
-}
+import "bitmapindex/internal/bitvec"
 
 // EvalRangeNaive evaluates (A op v) on a range-encoded index using
 // Algorithm RangeEval, the O'Neil-Quass evaluation strategy the paper
-// improves upon (Section 3, Figure 6 left). It incrementally maintains the
-// equality bitmap B_EQ together with B_LT or B_GT as required by the
-// operator. It is retained as the experimental baseline for Table 1 and
-// Figure 8.
+// improves upon (Section 3, Figure 6 left; see compileRangeNaive). It is
+// retained as the experimental baseline for Table 1 and Figure 8, and runs
+// through the same executor as Eval, but publishes nothing to the
+// process-wide telemetry registry or flight recorder.
 func (ix *Index) EvalRangeNaive(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
 	ix.mustBe(RangeEncoded)
-	qc := newQctx(ix, opt)
-	if r, ok := qc.trivialResult(op, v); ok {
-		return r
-	}
-	needLT := op == Lt || op == Le
-	needGT := op == Gt || op == Ge
-
-	BEQ := qc.nonNull()
-	var BLT, BGT *bitvec.Vector
-	if needLT {
-		BLT = qc.zeros()
-	}
-	if needGT {
-		BGT = qc.zeros()
-	}
-	digits := ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, ix.base)
-	for i := len(ix.base) - 1; i >= 0; i-- {
-		bi, di := ix.base[i], digits[i]
-		if di > 0 {
-			if needLT {
-				t := BEQ.Clone()
-				qc.and(t, qc.fetch(i, int(di-1)))
-				qc.or(BLT, t)
-			}
-			if di < bi-1 {
-				if needGT {
-					t := qc.fetch(i, int(di)).Clone()
-					qc.not(t)
-					qc.and(t, BEQ)
-					qc.or(BGT, t)
-				}
-				t := qc.fetch(i, int(di)).Clone()
-				qc.xor(t, qc.fetch(i, int(di-1)))
-				qc.and(BEQ, t)
-			} else {
-				t := qc.fetch(i, int(bi-2)).Clone()
-				qc.not(t)
-				qc.and(BEQ, t)
-			}
-		} else {
-			if needGT {
-				t := qc.fetch(i, 0).Clone()
-				qc.not(t)
-				qc.and(t, BEQ)
-				qc.or(BGT, t)
-			}
-			qc.and(BEQ, qc.fetch(i, 0))
-		}
-	}
-	switch op {
-	case Eq:
-		return BEQ
-	case Ne:
-		qc.not(BEQ)
-		return qc.maskNN(BEQ)
-	case Lt:
-		return BLT
-	case Le:
-		qc.or(BLT, BEQ)
-		return BLT
-	case Gt:
-		return BGT
-	default: // Ge
-		qc.or(BGT, BEQ)
-		return BGT
-	}
+	return ix.exec(compileRangeNaive(ix.shape(), op, v), opt)
 }
 
 func (ix *Index) mustBe(enc Encoding) {

@@ -13,15 +13,17 @@ import (
 	"bitmapindex/internal/telemetry"
 )
 
-// segeval.go — segmented (intra-query parallel) evaluation.
+// segeval.go — the executor of compiled predicates.
 //
-// The row space is partitioned into fixed-width segments of 2^SegBits bits
-// (word-aligned by construction), the predicate is compiled once into a
-// segProgram (segprog.go), and a pool of workers replays the program over
-// the segments concurrently using the range-restricted bitvec kernels.
-// Each worker writes only its own segments' windows of the shared result
-// vector, so stitching is free: the windows are disjoint and the final
-// vector is complete once every segment is processed.
+// Every evaluation in this package compiles its predicate into a
+// segProgram (segprog.go), resolves the program's refs once on the calling
+// goroutine, and replays the program over fixed-width word windows of the
+// row space ("segments", 2^SegBits bits, word-aligned by construction)
+// using the range-restricted bitvec kernels. Eval drains the windows on
+// the calling goroutine; the Segmented* entry points share them with a
+// pool of workers. Each worker writes only its own segments' windows of
+// the shared result vector, so stitching is free: the windows are disjoint
+// and the final vector is complete once every segment is processed.
 
 // DefaultSegBits is log2 of the default segment width in bits: 2^18 bits
 // = 32 KiB per bitmap per segment, small enough that one segment's working
@@ -170,15 +172,14 @@ func putSegRegs(rs *segRegSet) {
 
 // SegmentedEval evaluates (A op v) exactly like Eval but combines bitmaps
 // segment-by-segment across a worker pool, using up to cfg.Workers
-// goroutines. The result is bit-identical to Eval's and the reported
-// Stats are the same (verified under -tags bixdebug).
+// goroutines. The result and the reported Stats are Eval's.
 //
 // All opt.Fetch and opt.Buffered calls happen sequentially on the calling
 // goroutine before any parallel work starts, so the callbacks need not be
 // safe for concurrent use — a CachedStore's per-query closures work
 // unchanged. The fetched bitmaps themselves are only read concurrently.
 func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
-	res, _, _ := ix.segRun(op, v, opt, cfg, segMaterialize)
+	res, _, _ := ix.segmented(op, v, opt, cfg, segMaterialize)
 	return res
 }
 
@@ -186,7 +187,7 @@ func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig)
 // qualifying records, popcounting each segment in place of stitching a
 // result vector — the fast path for COUNT(*) consumers.
 func (ix *Index) SegmentedCount(op Op, v uint64, opt *EvalOptions, cfg SegConfig) int {
-	_, n, _ := ix.segRun(op, v, opt, cfg, segCount)
+	_, n, _ := ix.segmented(op, v, opt, cfg, segCount)
 	return n
 }
 
@@ -195,11 +196,24 @@ func (ix *Index) SegmentedCount(op Op, v uint64, opt *EvalOptions, cfg SegConfig
 // bit. Reported operation counts still cover the full program, since the
 // logical per-query cost measures do not depend on the early exit.
 func (ix *Index) SegmentedAny(op Op, v uint64, opt *EvalOptions, cfg SegConfig) bool {
-	_, _, any := ix.segRun(op, v, opt, cfg, segAny)
+	_, _, any := ix.segmented(op, v, opt, cfg, segAny)
 	return any
 }
 
-func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int) (*bitvec.Vector, int, bool) {
+// segmented is the shared body of the Segmented* entry points: counted in
+// bix_segment_eval_total, recorded under the eval-segmented plan tag, with
+// the combination time traced per segment so skew stays visible.
+func (ix *Index) segmented(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int) (*bitvec.Vector, int, bool) {
+	telemetry.SegmentEvalTotal.Inc()
+	return ix.segRun(op, v, opt, cfg, mode, planEvalSegmented, telemetry.PhaseSegments)
+}
+
+// segRun is the one evaluation path: compile, resolve, run, then publish
+// the query's scan and operation counts to opt.Stats, the telemetry
+// registry and the flight recorder under the given plan tag. Scans are
+// counted from the program's refs whether or not opt.Stats is set. The
+// window combination time is traced as the given phase.
+func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int, plan string, phase telemetry.Phase) (*bitvec.Vector, int, bool) {
 	cfg = cfg.normalized()
 	var o EvalOptions
 	if opt != nil {
@@ -207,143 +221,173 @@ func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode i
 	}
 	hits0, misses0 := telemetry.CacheHitsTotal.Value(), telemetry.CacheMissesTotal.Value()
 	t0 := time.Now()
-	prog := ix.compileSeg(op, v)
+	prog := compileProgram(ix.shape(), op, v)
+	var x *segExec
+	profile.Do(o.Trace.ID(), "eval", func() {
+		x = ix.prepare(prog, &o, phase)
+		x.run(1<<(cfg.SegBits-6), cfg.Workers, mode)
+	})
+	res, count, any := x.res, int(x.total.Load()), x.found.Load()
 
-	// Prefetch every referenced bitmap sequentially on this goroutine
-	// (the documented Fetch contract), counting scans per distinct stored
-	// bitmap exactly like qctx.fetch would.
-	srcs := make([]*bitvec.Vector, len(prog.refs))
-	scans := 0
-	for i, rf := range prog.refs {
-		if rf.comp < 0 {
-			srcs[i] = ix.nn
-			continue
-		}
-		if o.Stats != nil && (o.Buffered == nil || !o.Buffered(rf.comp, rf.slot)) {
-			scans++
-		}
-		sp := o.Trace.Start(telemetry.PhaseFetch)
-		if o.Fetch != nil {
-			srcs[i] = o.Fetch(rf.comp, rf.slot)
-		} else {
-			srcs[i] = ix.comps[rf.comp][rf.slot]
-		}
-		sp.End()
-	}
-
-	nwords := (ix.rows + 63) / 64
-	segWords := 1 << (cfg.SegBits - 6)
-	nseg := (nwords + segWords - 1) / segWords
-
-	var res *bitvec.Vector
-	if mode == segMaterialize {
-		res = bitvec.New(ix.rows)
-	}
-	var next atomic.Int64
-	var total atomic.Int64
-	var found atomic.Bool
-	drain := func() {
-		// Worker-local scratch registers, checked out of segRegPool on the
-		// first segment this goroutine actually claims and returned at
-		// exit. In materialize mode register 0 aliases the shared result:
-		// workers write disjoint word windows, so no synchronization is
-		// needed beyond the final wg.Wait.
-		var rs *segRegSet
-		var regs []*bitvec.Vector
-		defer func() {
-			if rs != nil {
-				putSegRegs(rs)
-			}
-		}()
-		local := 0
-		for {
-			if mode == segAny && found.Load() {
-				break
-			}
-			s := int(next.Add(1)) - 1
-			if s >= nseg {
-				break
-			}
-			if regs == nil {
-				var shared *bitvec.Vector
-				if mode == segMaterialize {
-					shared = res
-				}
-				rs = getSegRegs(ix.rows, prog.nregs, shared)
-				regs = rs.regs
-			}
-			lo := s * segWords
-			hi := lo + segWords
-			if hi > nwords {
-				hi = nwords
-			}
-			ts := time.Now()
-			runSegment(prog, srcs, regs, lo, hi)
-			switch mode {
-			case segCount:
-				local += regs[0].CountRange(lo, hi)
-			case segAny:
-				if regs[0].AnyRange(lo, hi) {
-					found.Store(true)
-				}
-			}
-			o.Trace.Add(telemetry.PhaseSegments, time.Since(ts))
-		}
-		if local != 0 {
-			total.Add(int64(local))
-		}
-	}
-
-	workers := cfg.Workers
-	if workers > nseg {
-		workers = nseg
-	}
-	// Pool workers combine segments on this query's behalf from a foreign
-	// goroutine; the pprof labels are what tie their CPU samples back to
-	// the query (phase "segment" vs the caller's own "eval").
-	qid := o.Trace.ID()
-	var wg sync.WaitGroup
-	for i := 1; i < workers; i++ {
-		wg.Add(1)
-		if !segPoolSubmit(func() { defer wg.Done(); profile.Do(qid, "segment", drain) }) {
-			wg.Done()
-			break // pool saturated; the caller still drains everything
-		}
-	}
-	profile.Do(qid, "eval", drain)
-	wg.Wait()
-
-	if o.Stats != nil {
-		o.Stats.Scans += scans
-		o.Stats.Ands += prog.ops.Ands
-		o.Stats.Ors += prog.ops.Ors
-		o.Stats.Xors += prog.ops.Xors
-		o.Stats.Nots += prog.ops.Nots
-	}
-	telemetry.SegmentEvalTotal.Inc()
+	o.Stats.addRun(x.scans, prog.ops)
 	elapsed := time.Since(t0)
-	telemetry.RecordEval(scans, prog.ops.Ands, prog.ops.Ors, prog.ops.Xors,
+	telemetry.RecordEval(x.scans, prog.ops.Ands, prog.ops.Ors, prog.ops.Xors,
 		prog.ops.Nots, elapsed, o.Trace)
 	rows := int64(-1)
 	if mode == segCount {
-		rows = total.Load()
+		rows = int64(count)
 	}
 	frec := flight.Record{
-		TraceID: o.Trace.ID(), Plan: planEvalSegmented, Op: op.String(), Value: v,
+		TraceID: o.Trace.ID(), Plan: plan, Op: op.String(), Value: v,
 		Total: elapsed, Rows: rows,
-		Scans: scans, Ands: prog.ops.Ands, Ors: prog.ops.Ors,
+		Scans: x.scans, Ands: prog.ops.Ands, Ors: prog.ops.Ors,
 		Xors: prog.ops.Xors, Nots: prog.ops.Nots,
 		CacheHits:   telemetry.CacheHitsTotal.Value() - hits0,
 		CacheMisses: telemetry.CacheMissesTotal.Value() - misses0,
 	}
 	flight.Default().Add(&frec, o.Trace)
 
-	count := int(total.Load())
-	any := found.Load()
 	if invariant.Enabled {
-		ix.segCrossCheck(op, v, prog, srcs, mode, res, count, any)
+		ix.crossCheck(op, v, x, &o)
 	}
 	return res, count, any
+}
+
+// exec runs prog on the calling goroutine and accumulates its counts
+// into opt.Stats, publishing nothing: the evaluator behind EvalRangeNaive
+// and the aggregates' digit bitmaps.
+func (ix *Index) exec(prog *segProgram, opt *EvalOptions) *bitvec.Vector {
+	var o EvalOptions
+	if opt != nil {
+		o = *opt
+	}
+	x := ix.prepare(prog, &o, telemetry.PhaseBoolOps)
+	res := x.run(1<<(DefaultSegBits-6), 1, segMaterialize)
+	o.Stats.addRun(x.scans, prog.ops)
+	return res
+}
+
+// segExec is one prepared evaluation: a compiled program with every ref
+// resolved to a bitmap, plus the shared state of its run.
+type segExec struct {
+	prog  *segProgram
+	srcs  []*bitvec.Vector // srcs[i] is the bitmap prog.refs[i] names
+	rows  int
+	scans int // bitmap scans charged to the evaluation
+	tr    *telemetry.Trace
+	phase telemetry.Phase // trace phase of the per-window combination time
+
+	// Run state: the segment cursor, the shared result and the count/any
+	// outcome.
+	mode, nwords, segWords, nseg int
+	res                          *bitvec.Vector
+	next, total                  atomic.Int64
+	found                        atomic.Bool
+	wg                           sync.WaitGroup
+}
+
+// prepare resolves every ref of prog sequentially on the calling goroutine
+// (the documented Fetch contract), counting one scan per distinct stored
+// bitmap unless o.Buffered reports it resident.
+func (ix *Index) prepare(prog *segProgram, o *EvalOptions, phase telemetry.Phase) *segExec {
+	x := &segExec{prog: prog, srcs: make([]*bitvec.Vector, len(prog.refs)),
+		rows: ix.rows, tr: o.Trace, phase: phase}
+	for i, rf := range prog.refs {
+		if rf.comp >= 0 && (o.Buffered == nil || !o.Buffered(rf.comp, rf.slot)) {
+			x.scans++
+		}
+		x.srcs[i] = ix.resolve(o, rf)
+	}
+	return x
+}
+
+// resolve returns the bitmap rf names: B_nn, or a stored bitmap from the
+// caller's Fetch or from memory, timed as the fetch phase.
+func (ix *Index) resolve(o *EvalOptions, rf segRef) *bitvec.Vector {
+	if rf.comp < 0 {
+		return ix.nn
+	}
+	sp := o.Trace.Start(telemetry.PhaseFetch)
+	defer sp.End()
+	if o.Fetch != nil {
+		return o.Fetch(rf.comp, rf.slot)
+	}
+	return ix.comps[rf.comp][rf.slot]
+}
+
+// run replays the program over windows of segWords words, using up to
+// workers goroutines including the calling one. It leaves the result
+// vector (segMaterialize, also returned), the qualifying-row count
+// (segCount) or whether any row qualifies (segAny) in x. A segExec runs
+// once.
+func (x *segExec) run(segWords, workers, mode int) *bitvec.Vector {
+	x.mode, x.nwords, x.segWords = mode, (x.rows+63)/64, max(segWords, 1)
+	x.nseg = (x.nwords + x.segWords - 1) / x.segWords
+	if mode == segMaterialize {
+		x.res = bitvec.New(x.rows)
+	}
+	// Pool workers combine segments on this query's behalf from a foreign
+	// goroutine; the pprof labels are what tie their CPU samples back to
+	// the query (phase "segment" vs the caller's own "eval").
+	qid := x.tr.ID()
+	for i := 1; i < min(workers, x.nseg); i++ {
+		x.wg.Add(1)
+		if !segPoolSubmit(func() { defer x.wg.Done(); profile.Do(qid, "segment", x.drain) }) {
+			x.wg.Done()
+			break // pool saturated; the caller still drains everything
+		}
+	}
+	x.drain()
+	x.wg.Wait()
+	return x.res
+}
+
+// drain claims segments until none are left (or, in any mode, until some
+// worker found a row).
+func (x *segExec) drain() {
+	// Worker-local scratch registers, checked out of segRegPool on the
+	// first segment this goroutine actually claims and returned at exit.
+	// In materialize mode register 0 aliases the shared result: workers
+	// write disjoint word windows, so no synchronization is needed beyond
+	// the final wg.Wait.
+	var rs *segRegSet
+	local := 0
+	for {
+		if x.mode == segAny && x.found.Load() {
+			break
+		}
+		s := int(x.next.Add(1)) - 1
+		if s >= x.nseg {
+			break
+		}
+		if rs == nil {
+			rs = getSegRegs(x.rows, x.prog.nregs, x.res)
+		}
+		lo := s * x.segWords
+		hi := min(lo+x.segWords, x.nwords)
+		var ts time.Time
+		if x.tr != nil {
+			ts = time.Now()
+		}
+		runSegment(x.prog, x.srcs, rs.regs, lo, hi)
+		switch x.mode {
+		case segCount:
+			local += rs.regs[0].CountRange(lo, hi)
+		case segAny:
+			if rs.regs[0].AnyRange(lo, hi) {
+				x.found.Store(true)
+			}
+		}
+		if x.tr != nil {
+			x.tr.Add(x.phase, time.Since(ts))
+		}
+	}
+	if rs != nil {
+		putSegRegs(rs)
+	}
+	if local != 0 {
+		x.total.Add(int64(local))
+	}
 }
 
 // runSegment replays the compiled program over the word window [lo, hi).
@@ -380,38 +424,57 @@ func runSegment(p *segProgram, srcs, regs []*bitvec.Vector, lo, hi int) {
 	}
 }
 
-// segCrossCheck (bixdebug only) re-evaluates the predicate with the serial
-// encoding-specific evaluator, resolving fetches from the already
-// prefetched bitmaps, and asserts the segmented outcome matches bit for
-// bit (or count for count / any for any).
-func (ix *Index) segCrossCheck(op Op, v uint64, prog *segProgram, srcs []*bitvec.Vector, mode int, res *bitvec.Vector, count int, any bool) {
-	byKey := make(map[segRef]*bitvec.Vector, len(prog.refs))
-	for i, rf := range prog.refs {
-		if rf.comp >= 0 {
-			byKey[rf] = srcs[i]
-		}
+// crossCheck (bixdebug only) verifies one evaluation two ways without
+// calling the caller's Fetch again. First, the same program re-run with a
+// different window split must give the same bitmap, count and any: one
+// window over all rows when x ran several, one-word windows when it ran
+// one. Second, on range-encoded indexes Algorithm RangeEval, compiled into
+// the same IR, must perform no fewer bitmap operations than RangeEval-Opt
+// for range operators (paper Section 3) and must give the same result.
+// Equality operators are excluded from the op comparison: on a nullable
+// index the single-bitmap rewrite pays one extra AND with B_nn that the
+// B_EQ chain does not. The result comparison reads RangeEval's bitmaps
+// from x's sources and, for bitmaps only RangeEval reads, from memory; it
+// is skipped when such a bitmap is reachable only through a Fetch.
+func (ix *Index) crossCheck(op Op, v uint64, x *segExec, o *EvalOptions) {
+	alt := x.nwords
+	if x.nseg <= 1 {
+		alt = 1
 	}
-	sopt := &EvalOptions{Fetch: func(comp, slot int) *bitvec.Vector {
-		bv, ok := byKey[segRef{comp: comp, slot: slot}]
-		invariant.Assert(ok, "core: serial evaluator fetched a bitmap the segment program did not")
-		return bv
-	}}
-	var want *bitvec.Vector
-	switch ix.enc {
-	case RangeEncoded:
-		want = ix.EvalRangeOpt(op, v, sopt)
-	case EqualityEncoded:
-		want = ix.EvalEquality(op, v, sopt)
-	default:
-		want = ix.EvalInterval(op, v, sopt)
-	}
-	switch mode {
+	want := (&segExec{prog: x.prog, srcs: x.srcs, rows: x.rows}).run(alt, 1, segMaterialize)
+	invariant.TailZero(want.Words(), want.Len())
+	switch x.mode {
 	case segMaterialize:
-		invariant.TailZero(res.Words(), res.Len())
-		invariant.Assert(want.Equal(res), "core: segmented result differs from serial")
+		invariant.TailZero(x.res.Words(), x.res.Len())
+		invariant.Assert(want.Equal(x.res), "core: result differs across window splits")
 	case segCount:
-		invariant.Assert(want.Count() == count, "core: segmented count differs from serial")
+		invariant.Assert(want.Count() == int(x.total.Load()), "core: count differs across window splits")
 	default: // segAny
-		invariant.Assert(want.Any() == any, "core: segmented any differs from serial")
+		invariant.Assert(want.Any() == x.found.Load(), "core: any differs across window splits")
 	}
+	if ix.enc != RangeEncoded {
+		return
+	}
+	naive := compileRangeNaive(ix.shape(), op, v)
+	if op.IsRange() {
+		invariant.OptNoWorse(x.prog.ops.Ops(), naive.ops.Ops(),
+			"core: RangeEval-Opt vs RangeEval, op "+op.String())
+	}
+	have := make(map[segRef]*bitvec.Vector, len(x.prog.refs))
+	for i, rf := range x.prog.refs {
+		have[rf] = x.srcs[i]
+	}
+	srcs := make([]*bitvec.Vector, len(naive.refs))
+	for i, rf := range naive.refs {
+		bv, ok := have[rf]
+		if !ok {
+			if o.Fetch != nil && rf.comp >= 0 {
+				return // only the caller's Fetch can supply this bitmap
+			}
+			bv = ix.resolve(&EvalOptions{}, rf) // from memory, untraced
+		}
+		srcs[i] = bv
+	}
+	got := (&segExec{prog: naive, srcs: srcs, rows: x.rows}).run(x.nwords, 1, segMaterialize)
+	invariant.Assert(got.Equal(want), "core: RangeEval disagrees with RangeEval-Opt")
 }

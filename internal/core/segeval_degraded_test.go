@@ -37,10 +37,10 @@ func parkSegPool(t *testing.T) func() {
 
 // TestSegmentedEvalPoolSaturatedDegradesToSerial forces the degraded
 // submission path audited in PR 9: with every pool worker busy the
-// non-blocking submit in segRun fails and the calling goroutine drains
+// non-blocking submit in segExec.run fails and the calling goroutine drains
 // every segment itself. The fallback must not double-count Stats (scans
 // are charged once during prefetch, op counts once after the drain) and
-// must return bit-identical results, and the bix_segment_* metrics must
+// must return the brute-force answer, and the bix_segment_* metrics must
 // advance exactly as in the helped path: one eval per call, the worker
 // gauge untouched.
 func TestSegmentedEvalPoolSaturatedDegradesToSerial(t *testing.T) {
@@ -68,8 +68,9 @@ func TestSegmentedEvalPoolSaturatedDegradesToSerial(t *testing.T) {
 	calls := int64(0)
 	for _, op := range AllOps {
 		for _, v := range []uint64{0, 7, card - 1, card + 3} {
+			want := referenceEval(vals, nil, op, v)
 			var wst Stats
-			want := ix.Eval(op, v, &EvalOptions{Stats: &wst})
+			ix.Eval(op, v, &EvalOptions{Stats: &wst})
 			var gst Stats
 			got := ix.SegmentedEval(op, v, &EvalOptions{Stats: &gst}, cfg)
 			calls++

@@ -7,16 +7,18 @@ import (
 	"testing"
 
 	"bitmapindex/internal/bitvec"
+	"bitmapindex/internal/telemetry"
 )
 
 // segSizes are row counts straddling the default segment boundary
 // (k*2^18 +/- 1), where window/tail-mask bugs live.
 var segSizes = []int{(1 << 18) - 1, 1 << 18, (1 << 18) + 1}
 
-// TestSegmentedMatchesSerialProperty is the keystone property test:
-// segmented evaluation returns the same bitmap AND the same Stats as the
-// serial evaluator for every encoding, every operator, boundary row
-// counts, several bases and several segment configurations.
+// TestSegmentedMatchesSerialProperty is the keystone property test: Eval
+// and segmented evaluation return the brute-force answer for every
+// encoding, every operator, with and without nulls, at boundary row
+// counts, several bases and several segment configurations, and every
+// segment configuration reports Eval's Stats.
 func TestSegmentedMatchesSerialProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	const card = 20
@@ -31,29 +33,136 @@ func TestSegmentedMatchesSerialProperty(t *testing.T) {
 		for i := range vals {
 			vals[i] = uint64(r.Intn(card))
 		}
-		for _, base := range bases {
-			for _, enc := range []Encoding{RangeEncoded, EqualityEncoded, IntervalEncoded} {
-				ix, err := Build(vals, card, base, enc, nil)
-				if err != nil {
-					t.Fatal(err)
+		for _, withNulls := range []bool{false, true} {
+			var nulls []bool
+			var opts *BuildOptions
+			if withNulls {
+				nulls = make([]bool, n)
+				for i := range nulls {
+					nulls[i] = r.Intn(9) == 0
 				}
-				for _, op := range AllOps {
-					for _, v := range []uint64{0, 7, card - 1, card + 5} {
+				opts = &BuildOptions{Nulls: nulls}
+			}
+			var ixs []*Index
+			for _, base := range bases {
+				for _, enc := range []Encoding{RangeEncoded, EqualityEncoded, IntervalEncoded} {
+					ix, err := Build(vals, card, base, enc, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ixs = append(ixs, ix)
+				}
+			}
+			for _, op := range AllOps {
+				for _, v := range []uint64{0, 7, card - 1, card + 5} {
+					want := referenceEval(vals, nulls, op, v)
+					for _, ix := range ixs {
 						var wst Stats
-						want := ix.Eval(op, v, &EvalOptions{Stats: &wst})
+						if got := ix.Eval(op, v, &EvalOptions{Stats: &wst}); !got.Equal(want) {
+							t.Fatalf("n=%d nulls=%v base=%v enc=%v A %s %d: Eval differs from brute force",
+								n, withNulls, ix.Base(), ix.Encoding(), op, v)
+						}
 						for _, cfg := range cfgs {
 							var gst Stats
 							got := ix.SegmentedEval(op, v, &EvalOptions{Stats: &gst}, cfg)
 							if !got.Equal(want) {
-								t.Fatalf("n=%d base=%v enc=%v A %s %d cfg=%+v: segmented result differs",
-									n, base, enc, op, v, cfg)
+								t.Fatalf("n=%d nulls=%v base=%v enc=%v A %s %d cfg=%+v: segmented result differs from brute force",
+									n, withNulls, ix.Base(), ix.Encoding(), op, v, cfg)
 							}
 							if gst != wst {
-								t.Fatalf("n=%d base=%v enc=%v A %s %d cfg=%+v: stats %+v, want %+v",
-									n, base, enc, op, v, cfg, gst, wst)
+								t.Fatalf("n=%d nulls=%v base=%v enc=%v A %s %d cfg=%+v: stats %+v, want %+v",
+									n, withNulls, ix.Base(), ix.Encoding(), op, v, cfg, gst, wst)
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestScansPublishedWithoutStats pins scan publication to the program's
+// refs: an evaluation without EvalOptions.Stats still adds its scans to
+// bix_scans_total, on the segmented entry points exactly as on Eval.
+func TestScansPublishedWithoutStats(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	vals := make([]uint64, 3000)
+	for i := range vals {
+		vals[i] = uint64(r.Intn(100))
+	}
+	ix, err := Build(vals, 100, Base{10, 10}, RangeEncoded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SegConfig{SegBits: 10, Workers: 2}
+	delta := func(fn func()) int64 {
+		s0 := telemetry.ScansTotal.Value()
+		fn()
+		return telemetry.ScansTotal.Value() - s0
+	}
+	for _, op := range AllOps {
+		for _, v := range []uint64{0, 55, 99} {
+			var st Stats
+			ix.Eval(op, v, &EvalOptions{Stats: &st})
+			want := int64(st.Scans)
+			if d := delta(func() { ix.Eval(op, v, nil) }); d != want {
+				t.Fatalf("A %s %d: Eval published %d scans, want %d", op, v, d, want)
+			}
+			if d := delta(func() { ix.SegmentedEval(op, v, nil, cfg) }); d != want {
+				t.Fatalf("A %s %d: SegmentedEval published %d scans, want %d", op, v, d, want)
+			}
+			if d := delta(func() { ix.SegmentedCount(op, v, nil, cfg) }); d != want {
+				t.Fatalf("A %s %d: SegmentedCount published %d scans, want %d", op, v, d, want)
+			}
+		}
+	}
+}
+
+// TestEvalFetchesEachBitmapOnce pins the Fetch contract of the one
+// evaluation path: every stored bitmap a predicate reads is fetched
+// exactly once per evaluation, right after Buffered was asked about it,
+// including predicates whose program reads a bitmap in two places and,
+// under -tags bixdebug, the cross-checks, which fetch nothing.
+func TestEvalFetchesEachBitmapOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	vals := make([]uint64, 500)
+	for i := range vals {
+		vals[i] = uint64(r.Intn(30))
+	}
+	for _, enc := range []Encoding{RangeEncoded, EqualityEncoded, IntervalEncoded} {
+		ix, err := Build(vals, 30, Base{6, 5}, enc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range AllOps {
+			for v := uint64(0); v < 30; v++ {
+				seen := map[[2]int]int{}
+				asked := [2]int{-1, -1}
+				var st Stats
+				opt := &EvalOptions{
+					Stats: &st,
+					Buffered: func(comp, slot int) bool {
+						asked = [2]int{comp, slot}
+						return false
+					},
+					Fetch: func(comp, slot int) *bitvec.Vector {
+						k := [2]int{comp, slot}
+						if asked != k {
+							t.Fatalf("enc=%v A %s %d: bitmap %v fetched after Buffered asked about %v", enc, op, v, k, asked)
+						}
+						asked = [2]int{-1, -1}
+						seen[k]++
+						return ix.StoredBitmap(comp, slot)
+					},
+				}
+				ix.Eval(op, v, opt)
+				for k, n := range seen {
+					if n != 1 {
+						t.Fatalf("enc=%v A %s %d: bitmap %v fetched %d times", enc, op, v, k, n)
+					}
+				}
+				if len(seen) != st.Scans {
+					t.Fatalf("enc=%v A %s %d: %d bitmaps fetched, %d scans charged", enc, op, v, len(seen), st.Scans)
 				}
 			}
 		}

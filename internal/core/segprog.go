@@ -6,22 +6,24 @@ import (
 	"bitmapindex/internal/invariant"
 )
 
-// segprog.go — compiled bitmap programs for segmented evaluation.
+// segprog.go — the predicate compiler.
 //
 // A segProgram is the bitmap-combination plan of one selection predicate:
-// a straight-line register program over the index's stored bitmaps that
-// the segmented evaluator (segeval.go) replays once per row segment using
-// the range-restricted bitvec kernels. Compilation mirrors the serial
-// evaluators (EvalRangeOpt, EvalEquality, EvalInterval) instruction for
-// instruction: every place a serial evaluator performs one counted qctx
-// operation, the compiler emits exactly one counted instruction, so a
-// segmented evaluation reports the same Stats as its serial counterpart
-// and — verified under -tags bixdebug — produces the bit-identical result.
-// Any change to a serial evaluator must be applied to its compiler twin.
+// a straight-line register program over the index's stored bitmaps. It is
+// the only form in which this package evaluates a predicate: segeval.go
+// resolves the program's refs once and replays it over word windows of
+// the row space with the range-restricted bitvec kernels. Every emitted
+// AND/OR/XOR/NOT is one of the paper's counted bitmap operations, so the
+// program carries a query's operation counts, and its distinct value-bitmap
+// refs are the query's bitmap scans.
+//
+// There are two compilers into this IR: compileProgram (RangeEval-Opt on
+// range-encoded indexes, the equality-encoded and interval-encoded
+// evaluators otherwise) and compileRangeNaive, the paper's RangeEval
+// baseline.
 
-// Instruction kinds. sLoad/sZero/sOnes initialize a register (mirroring
-// Clone/zeros/ones, which the serial evaluators do not count); the rest
-// mirror the counted qctx operations.
+// Instruction kinds. sLoad/sZero/sOnes initialize a register and are not
+// counted as bitmap operations; the rest are the counted operations.
 const (
 	sLoad   uint8 = iota // reg[dst] = src
 	sZero                // reg[dst] = 0
@@ -53,7 +55,7 @@ type segInstr struct {
 
 // segRef identifies one input bitmap of the program. comp == -1 is the
 // non-null bitmap B_nn, which is always in memory and never counted as a
-// scan (matching qctx.nonNull).
+// scan: the paper's scan counts are over the value bitmaps.
 type segRef struct{ comp, slot int }
 
 // segProgram is one compiled predicate. The result is always register 0
@@ -62,30 +64,67 @@ type segProgram struct {
 	instrs []segInstr
 	nregs  int
 	refs   []segRef
-	ops    Stats // logical operation counts; Scans stays 0 (filled at prefetch)
+	ops    Stats // logical operation counts; Scans stays 0 (counted from refs)
+}
+
+// scans returns the number of bitmap scans the program performs without a
+// buffer: its distinct value-bitmap refs.
+func (p *segProgram) scans() int {
+	n := 0
+	for _, rf := range p.refs {
+		if rf.comp >= 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // segreg is a virtual register index within a segProgram.
 type segreg int
 
-// progBuilder compiles a predicate into a segProgram. Its methods mirror
-// the qctx API so the compile functions below read exactly like the serial
-// evaluators they shadow.
+// progShape is everything compilation reads about an index: scan and
+// operation counts depend only on it and the predicate, never on the data.
+type progShape struct {
+	base  Base
+	enc   Encoding
+	card  uint64
+	nulls bool // B_nn masking needed
+}
+
+func (ix *Index) shape() progShape {
+	return progShape{base: ix.base, enc: ix.enc, card: ix.card, nulls: ix.hasNulls}
+}
+
+// PredicateScans returns the number of stored bitmaps the evaluator reads
+// for (A op v) on an index with the given base, encoding and cardinality:
+// the distinct value-bitmap refs of the compiled predicate. It builds no
+// index and publishes no telemetry, so cost models can ask it for every
+// predicate of a design they are only considering.
+func PredicateScans(base Base, enc Encoding, card uint64, op Op, v uint64) int {
+	if err := base.Validate(card); err != nil {
+		panic(err.Error())
+	}
+	return compileProgram(progShape{base: base, enc: enc, card: card}, op, v).scans()
+}
+
+// progBuilder compiles a predicate into a segProgram.
 type progBuilder struct {
-	ix     *Index
+	progShape
 	p      *segProgram
 	refIdx map[segRef]int
 	free   []segreg
 }
 
-func newProgBuilder(ix *Index) *progBuilder {
-	return &progBuilder{ix: ix, p: &segProgram{}, refIdx: make(map[segRef]int, 8)}
+func newProgBuilder(s progShape) progBuilder {
+	n := len(s.base)
+	return progBuilder{progShape: s, refIdx: make(map[segRef]int, 2*n+1), p: &segProgram{
+		instrs: make([]segInstr, 0, 4*n+4),
+		refs:   make([]segRef, 0, 2*n+1),
+	}}
 }
 
 // fetch interns the stored bitmap (comp, slot) and returns it as an
-// operand. Distinct refs correspond exactly to the distinct bitmaps the
-// serial evaluator's per-query seen map would count, so scan accounting at
-// prefetch time matches qctx.fetch.
+// operand, so a bitmap read twice by one predicate is one ref and one scan.
 func (b *progBuilder) fetch(comp, slot int) segOperand {
 	key := segRef{comp: comp, slot: slot}
 	i, ok := b.refIdx[key]
@@ -98,19 +137,7 @@ func (b *progBuilder) fetch(comp, slot int) segOperand {
 }
 
 // nnOp returns the non-null bitmap as an operand (not a scan).
-func (b *progBuilder) nnOp() segOperand {
-	return b.fetchRef(segRef{comp: -1, slot: 0})
-}
-
-func (b *progBuilder) fetchRef(key segRef) segOperand {
-	i, ok := b.refIdx[key]
-	if !ok {
-		i = len(b.p.refs)
-		b.refIdx[key] = i
-		b.p.refs = append(b.p.refs, key)
-	}
-	return refOp(i)
-}
+func (b *progBuilder) nnOp() segOperand { return b.fetch(-1, 0) }
 
 func (b *progBuilder) alloc() segreg {
 	if n := len(b.free); n > 0 {
@@ -128,9 +155,9 @@ func (b *progBuilder) alloc() segreg {
 // component count.
 func (b *progBuilder) release(r segreg) { b.free = append(b.free, r) }
 
-// emit appends one instruction, mirroring qctx operation accounting: and,
-// or, xor, not count as themselves; andNot counts as one AND plus one NOT;
-// load/zero/ones (Clone and friends) are uncounted.
+// emit appends one instruction and accounts it in the paper's operation
+// inventory: and, or, xor, not count as themselves; andNot counts as one
+// AND plus one NOT; load/zero/ones are uncounted.
 func (b *progBuilder) emit(kind uint8, dst segreg, src segOperand) {
 	b.p.instrs = append(b.p.instrs, segInstr{kind: kind, dst: int(dst), src: src})
 	switch kind {
@@ -174,10 +201,11 @@ func (b *progBuilder) xor(dst segreg, src segOperand)    { b.emit(sXor, dst, src
 func (b *progBuilder) andNot(dst segreg, src segOperand) { b.emit(sAndNot, dst, src) }
 func (b *progBuilder) not(dst segreg)                    { b.emit(sNot, dst, noOperand()) }
 
-// maskNN mirrors qctx.maskNN: one counted AND with B_nn, only on nullable
-// indexes.
+// maskNN AND-masks a result that may contain null rows (a complement, or
+// an OR of stored bitmaps that started from all-ones): one counted AND
+// with B_nn, only on nullable indexes.
 func (b *progBuilder) maskNN(r segreg) {
-	if b.ix.hasNulls {
+	if b.nulls {
 		b.and(r, b.nnOp())
 	}
 }
@@ -190,21 +218,31 @@ func (b *progBuilder) seal(r segreg) {
 	}
 }
 
-// compileSeg builds the segment program for (A op v).
-func (ix *Index) compileSeg(op Op, v uint64) *segProgram {
-	b := newProgBuilder(ix)
-	// Mirror qctx.trivialResult: constants outside [0, C) need no bitmaps
-	// beyond B_nn and count no operations.
-	if v >= ix.card {
-		switch op {
-		case Lt, Le, Ne:
-			b.seal(b.nonNull())
-		default: // Gt, Ge, Eq
-			b.seal(b.zeros())
-		}
+// trivial compiles a predicate constant outside [0, C): the answer is all
+// non-null rows or none, reading no value bitmap and counting no
+// operation. It reports false when the predicate needs real evaluation.
+func (b *progBuilder) trivial(op Op, v uint64) bool {
+	if v < b.card {
+		return false
+	}
+	switch op {
+	case Lt, Le, Ne:
+		b.seal(b.nonNull())
+	default: // Gt, Ge, Eq
+		b.seal(b.zeros())
+	}
+	return true
+}
+
+// compileProgram builds the program that evaluates (A op v) on an index of
+// shape s: RangeEval-Opt on range-encoded indexes, the equality and
+// interval evaluators on the other encodings.
+func compileProgram(s progShape, op Op, v uint64) *segProgram {
+	b := newProgBuilder(s)
+	if b.trivial(op, v) {
 		return b.p
 	}
-	switch ix.enc {
+	switch s.enc {
 	case RangeEncoded:
 		b.seal(b.compileRangeOpt(op, v))
 	case EqualityEncoded:
@@ -217,9 +255,17 @@ func (ix *Index) compileSeg(op Op, v uint64) *segProgram {
 	return b.p
 }
 
-// compileRangeOpt mirrors EvalRangeOpt (rangeeval.go).
+// compileRangeOpt compiles the paper's improved Algorithm RangeEval-Opt
+// (Section 3, Figure 6 right) for a range-encoded index.
+//
+// Range predicates are rewritten in terms of <= using the identities
+// A < v == A <= v-1, A > v == NOT(A <= v), A >= v == NOT(A <= v-1), so a
+// single bitmap B is maintained instead of the B_EQ/B_LT/B_GT triple of
+// Algorithm RangeEval. Component 1 initializes B directly; each further
+// component i contributes at most one AND (with B_i^{v_i}, skipped when
+// v_i = b_i - 1, whose bitmap is the implicit all-ones) and one OR (with
+// B_i^{v_i - 1}, skipped when v_i = 0).
 func (b *progBuilder) compileRangeOpt(op Op, v uint64) segreg {
-	ix := b.ix
 	if !op.IsRange() {
 		B := b.compileRangeEqChain(v)
 		if op == Ne {
@@ -242,15 +288,15 @@ func (b *progBuilder) compileRangeOpt(op Op, v uint64) segreg {
 	if underflow {
 		B = b.zeros()
 	} else {
-		digits := ix.base.Decompose(w, nil)
-		invariant.DigitsInBase(digits, ix.base)
-		if digits[0] < ix.base[0]-1 {
+		digits := b.base.Decompose(w, nil)
+		invariant.DigitsInBase(digits, b.base)
+		if digits[0] < b.base[0]-1 {
 			B = b.cloneInto(b.fetch(0, int(digits[0])))
 		} else {
 			B = b.ones()
 		}
-		for i := 1; i < len(ix.base); i++ {
-			bi, di := ix.base[i], digits[i]
+		for i := 1; i < len(b.base); i++ {
+			bi, di := b.base[i], digits[i]
 			if di != bi-1 {
 				b.and(B, b.fetch(i, int(di)))
 			}
@@ -266,13 +312,15 @@ func (b *progBuilder) compileRangeOpt(op Op, v uint64) segreg {
 	return B
 }
 
-// compileRangeEqChain mirrors qctx.rangeEqChain.
+// compileRangeEqChain computes the equality bitmap (A = v) on a
+// range-encoded index: per component, digit equality is B_i^{v_i} XOR
+// B_i^{v_i-1} (degenerating to a single bitmap or its complement at the
+// digit extremes).
 func (b *progBuilder) compileRangeEqChain(v uint64) segreg {
-	ix := b.ix
-	digits := ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, ix.base)
+	digits := b.base.Decompose(v, nil)
+	invariant.DigitsInBase(digits, b.base)
 	B := b.ones()
-	for i, bi := range ix.base {
+	for i, bi := range b.base {
 		di := digits[i]
 		switch {
 		case di == 0:
@@ -292,9 +340,96 @@ func (b *progBuilder) compileRangeEqChain(v uint64) segreg {
 	return B
 }
 
-// compileEquality mirrors EvalEquality (eqeval.go).
+// compileRangeNaive compiles Algorithm RangeEval, the O'Neil-Quass
+// evaluation strategy the paper improves upon (Section 3, Figure 6 left).
+// It incrementally maintains the equality bitmap B_EQ together with B_LT
+// or B_GT as required by the operator.
+func compileRangeNaive(s progShape, op Op, v uint64) *segProgram {
+	b := newProgBuilder(s)
+	if b.trivial(op, v) {
+		return b.p
+	}
+	needLT := op == Lt || op == Le
+	needGT := op == Gt || op == Ge
+
+	// The result register is allocated first: B_LT or B_GT for a range
+	// operator, B_EQ for an equality operator.
+	var BLT, BGT segreg
+	if needLT {
+		BLT = b.zeros()
+	}
+	if needGT {
+		BGT = b.zeros()
+	}
+	BEQ := b.nonNull()
+	digits := b.base.Decompose(v, nil)
+	invariant.DigitsInBase(digits, b.base)
+	// gt ORs (NOT B_i^j AND B_EQ) into B_GT.
+	gt := func(i, j int) {
+		t := b.cloneInto(b.fetch(i, j))
+		b.not(t)
+		b.and(t, regOp(BEQ))
+		b.or(BGT, regOp(t))
+		b.release(t)
+	}
+	for i := len(b.base) - 1; i >= 0; i-- {
+		bi, di := b.base[i], digits[i]
+		if di == 0 {
+			if needGT {
+				gt(i, 0)
+			}
+			b.and(BEQ, b.fetch(i, 0))
+			continue
+		}
+		if needLT {
+			t := b.cloneInto(regOp(BEQ))
+			b.and(t, b.fetch(i, int(di-1)))
+			b.or(BLT, regOp(t))
+			b.release(t)
+		}
+		var t segreg
+		if di < bi-1 {
+			if needGT {
+				gt(i, int(di))
+			}
+			t = b.cloneInto(b.fetch(i, int(di)))
+			b.xor(t, b.fetch(i, int(di-1)))
+		} else {
+			t = b.cloneInto(b.fetch(i, int(bi-2)))
+			b.not(t)
+		}
+		b.and(BEQ, regOp(t))
+		b.release(t)
+	}
+	switch op {
+	case Eq:
+		b.seal(BEQ)
+	case Ne:
+		b.not(BEQ)
+		b.maskNN(BEQ)
+		b.seal(BEQ)
+	case Lt:
+		b.seal(BLT)
+	case Le:
+		b.or(BLT, regOp(BEQ))
+		b.seal(BLT)
+	case Gt:
+		b.seal(BGT)
+	default: // Ge
+		b.or(BGT, regOp(BEQ))
+		b.seal(BGT)
+	}
+	return b.p
+}
+
+// compileEquality compiles (A op v) for an equality-encoded index. The
+// paper uses (but does not print) an equality-encoding evaluator; this one
+// follows the paper's stated cost behaviour: an equality predicate reads
+// one bitmap per component, while a range predicate reads between two and
+// half the bitmaps of each component, choosing per component whichever of
+// the two directions (OR of low digit bitmaps vs complement of the OR of
+// high digit bitmaps) needs fewer bitmap scans.
 func (b *progBuilder) compileEquality(op Op, v uint64) segreg {
-	ix := b.ix
 	switch op {
 	case Eq:
 		return b.compileEqEQ(v)
@@ -317,12 +452,12 @@ func (b *progBuilder) compileEquality(op Op, v uint64) segreg {
 		b.maskNN(B)
 		return B
 	case Le:
-		if v >= ix.card-1 {
+		if v >= b.card-1 {
 			return b.nonNull()
 		}
 		return b.compileEqLT(v + 1)
 	default: // Gt
-		if v >= ix.card-1 {
+		if v >= b.card-1 {
 			return b.zeros()
 		}
 		B := b.compileEqLT(v + 1)
@@ -332,11 +467,12 @@ func (b *progBuilder) compileEquality(op Op, v uint64) segreg {
 	}
 }
 
-// compileEqBitmap mirrors qctx.eqBitmap: the digit-equality bitmap E_i^j.
-// When derived (base-2 component, j == 0) the operand is a fresh register
-// the caller must release (or adopt as its accumulator).
+// compileEqBitmap returns the digit-equality bitmap E_i^j. For base-2
+// components only E_i^1 is stored; E_i^0 is derived as B_nn AND NOT E_i^1
+// (one scan). When derived the operand is a fresh register the caller must
+// release (or adopt as its accumulator).
 func (b *progBuilder) compileEqBitmap(i int, j uint64) (op segOperand, t segreg, derived bool) {
-	if b.ix.base[i] == 2 {
+	if b.base[i] == 2 {
 		stored := b.fetch(i, 0) // E_i^1
 		if j == 1 {
 			return stored, 0, false
@@ -348,12 +484,13 @@ func (b *progBuilder) compileEqBitmap(i int, j uint64) (op segOperand, t segreg,
 	return b.fetch(i, int(j)), 0, false
 }
 
-// compileEqEQ mirrors qctx.eqEQ.
+// compileEqEQ computes the equality bitmap (A = v): the AND over
+// components of E_i^{v_i}, one scan per component.
 func (b *progBuilder) compileEqEQ(v uint64) segreg {
-	digits := b.ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, b.ix.base)
+	digits := b.base.Decompose(v, nil)
+	invariant.DigitsInBase(digits, b.base)
 	B := segreg(-1)
-	for i := range b.ix.base {
+	for i := range b.base {
 		e, t, derived := b.compileEqBitmap(i, digits[i])
 		if B < 0 {
 			if derived {
@@ -371,14 +508,17 @@ func (b *progBuilder) compileEqEQ(v uint64) segreg {
 	return B
 }
 
-// compileEqLT mirrors qctx.eqLT.
+// compileEqLT computes (A < v) for 1 <= v <= C using the standard
+// most-significant-first expansion: A < v iff for some component i, the
+// digits above i equal v's and digit_i < v_i. The prefix-equality bitmap P
+// starts from B_nn so null records never qualify even when a per-digit
+// comparison is computed by complement.
 func (b *progBuilder) compileEqLT(v uint64) segreg {
-	ix := b.ix
-	digits := ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, ix.base)
+	digits := b.base.Decompose(v, nil)
+	invariant.DigitsInBase(digits, b.base)
 	R := b.zeros()
 	P := b.nonNull()
-	for i := len(ix.base) - 1; i >= 0; i-- {
+	for i := len(b.base) - 1; i >= 0; i-- {
 		di := digits[i]
 		if di > 0 {
 			lt := b.compileEqLTDigit(i, di)
@@ -398,10 +538,15 @@ func (b *progBuilder) compileEqLT(v uint64) segreg {
 	return R
 }
 
-// compileEqLTDigit mirrors qctx.eqLTDigit.
+// compileEqLTDigit returns a fresh register of records whose i-th digit is
+// < d, 1 <= d <= b_i - 1. It reads min(d, b_i - d) stored bitmaps: either
+// the OR of E_i^0..E_i^{d-1}, or the complement of the OR of
+// E_i^d..E_i^{b_i-1}. The complement direction may include null rows;
+// callers AND the result with a null-free prefix bitmap.
 func (b *progBuilder) compileEqLTDigit(i int, d uint64) segreg {
-	bi := b.ix.base[i]
+	bi := b.base[i]
 	if bi == 2 {
+		// Only d = 1 is possible: digit < 1 means digit = 0.
 		e, t, derived := b.compileEqBitmap(i, 0)
 		if derived {
 			return t
@@ -409,12 +554,14 @@ func (b *progBuilder) compileEqLTDigit(i int, d uint64) segreg {
 		return b.cloneInto(e)
 	}
 	if d <= bi-d {
+		// Forward: OR of the d low digit bitmaps.
 		acc := b.cloneInto(b.fetch(i, 0))
 		for j := uint64(1); j < d; j++ {
 			b.or(acc, b.fetch(i, int(j)))
 		}
 		return acc
 	}
+	// Backward: complement of the OR of the b_i - d high digit bitmaps.
 	acc := b.cloneInto(b.fetch(i, int(d)))
 	for j := d + 1; j < bi; j++ {
 		b.or(acc, b.fetch(i, int(j)))
@@ -423,9 +570,9 @@ func (b *progBuilder) compileEqLTDigit(i int, d uint64) segreg {
 	return acc
 }
 
-// compileInterval mirrors EvalInterval (intervaleval.go).
+// compileInterval compiles (A op v) for an interval-encoded index (see
+// intervaleval.go for the window identities it relies on).
 func (b *progBuilder) compileInterval(op Op, v uint64) segreg {
-	ix := b.ix
 	switch op {
 	case Eq:
 		B := b.compileIvEQChain(v)
@@ -450,12 +597,12 @@ func (b *progBuilder) compileInterval(op Op, v uint64) segreg {
 		b.maskNN(B)
 		return B
 	case Le:
-		if v >= ix.card-1 {
+		if v >= b.card-1 {
 			return b.nonNull()
 		}
 		return b.compileIvLT(v + 1)
 	default: // Gt
-		if v >= ix.card-1 {
+		if v >= b.card-1 {
 			return b.zeros()
 		}
 		B := b.compileIvLT(v + 1)
@@ -465,9 +612,11 @@ func (b *progBuilder) compileInterval(op Op, v uint64) segreg {
 	}
 }
 
-// compileIvEQDigit mirrors qctx.ivEQDigit.
+// compileIvEQDigit returns a fresh register of records whose i-th digit
+// equals d. Complement cases may include null rows; callers AND the result
+// with a null-free prefix (or mask with B_nn at the end).
 func (b *progBuilder) compileIvEQDigit(i int, d uint64) segreg {
-	bi := b.ix.base[i]
+	bi := b.base[i]
 	m := uint64(ivWindows(bi))
 	switch {
 	case d < m-1:
@@ -494,9 +643,10 @@ func (b *progBuilder) compileIvEQDigit(i int, d uint64) segreg {
 	}
 }
 
-// compileIvLEDigit mirrors qctx.ivLEDigit.
+// compileIvLEDigit returns a fresh register of records whose i-th digit is
+// <= w, for 0 <= w <= b_i-2 (w = b_i-1 is the implicit all-ones).
 func (b *progBuilder) compileIvLEDigit(i int, w uint64) segreg {
-	bi := b.ix.base[i]
+	bi := b.base[i]
 	m := uint64(ivWindows(bi))
 	switch {
 	case w < m-1:
@@ -512,11 +662,12 @@ func (b *progBuilder) compileIvLEDigit(i int, w uint64) segreg {
 	}
 }
 
-// compileIvEQChain mirrors qctx.ivEQChain.
+// compileIvEQChain computes (A = v) as the AND over components of digit
+// equality.
 func (b *progBuilder) compileIvEQChain(v uint64) segreg {
-	digits := b.ix.base.Decompose(v, nil)
+	digits := b.base.Decompose(v, nil)
 	B := segreg(-1)
-	for i := range b.ix.base {
+	for i := range b.base {
 		e := b.compileIvEQDigit(i, digits[i])
 		if B < 0 {
 			B = e
@@ -528,13 +679,14 @@ func (b *progBuilder) compileIvEQChain(v uint64) segreg {
 	return B
 }
 
-// compileIvLT mirrors qctx.ivLT.
+// compileIvLT computes (A < v) for 1 <= v <= C with the same
+// most-significant-first expansion as compileEqLT, built from interval
+// digit primitives.
 func (b *progBuilder) compileIvLT(v uint64) segreg {
-	ix := b.ix
-	digits := ix.base.Decompose(v, nil)
+	digits := b.base.Decompose(v, nil)
 	R := b.zeros()
 	P := b.nonNull()
-	for i := len(ix.base) - 1; i >= 0; i-- {
+	for i := len(b.base) - 1; i >= 0; i-- {
 		di := digits[i]
 		if di > 0 {
 			lt := b.compileIvLEDigit(i, di-1)

@@ -281,9 +281,10 @@ func ExactTimeRange(base core.Base, card uint64) float64 {
 
 // ScansEquality returns the number of bitmap scans the equality-encoded
 // evaluator performs for the single query (A op v), 0 <= v < card. It
-// mirrors core.(*Index).EvalEquality including its per-query fetch cache
-// and the per-component choice between the forward OR and the complemented
-// backward OR.
+// models the compiled equality-encoding predicate digit by digit,
+// including the per-query ref sharing (a bitmap read twice is one scan)
+// and the per-component choice between the forward OR and the
+// complemented backward OR.
 func ScansEquality(base core.Base, card uint64, op core.Op, v uint64) int {
 	if v >= card {
 		return 0
@@ -352,8 +353,8 @@ func ExactTimeEquality(base core.Base, card uint64) float64 {
 }
 
 // ExactTime dispatches on encoding. Range and equality use their
-// digit-level models; interval encoding is measured on an instrumented
-// one-row index (scan counts are data independent).
+// digit-level models; interval encoding sums the compiled predicates'
+// scans (MeasuredTime).
 func ExactTime(base core.Base, enc core.Encoding, card uint64) float64 {
 	switch enc {
 	case core.RangeEncoded:
@@ -366,21 +367,18 @@ func ExactTime(base core.Base, enc core.Encoding, card uint64) float64 {
 }
 
 // MeasuredTime computes the expected scans per query for any encoding by
-// instrumenting the real evaluator over a one-row index (scan counts do
-// not depend on the data). It is the reference the digit-level models are
+// summing ScansFor over all 6*card queries: the evaluator's own scan
+// count, taken from the compiled predicates without building an index or
+// publishing telemetry. It is the reference the digit-level models are
 // tested against, and the primary metric for encodings without a model.
 func MeasuredTime(base core.Base, enc core.Encoding, card uint64) float64 {
-	ix, err := core.Build([]uint64{0}, card, base, enc, nil)
-	if err != nil {
-		panic("cost: " + err.Error())
-	}
-	var st core.Stats
+	total := 0
 	for _, op := range core.AllOps {
 		for v := uint64(0); v < card; v++ {
-			ix.Eval(op, v, &core.EvalOptions{Stats: &st})
+			total += ScansFor(base, enc, card, op, v)
 		}
 	}
-	return float64(st.Scans) / float64(6*card)
+	return float64(total) / float64(6*card)
 }
 
 // TimeEquality returns the closed-form expected scans per query for an

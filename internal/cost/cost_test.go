@@ -197,7 +197,7 @@ func TestWorstCaseMatchesMeasured(t *testing.T) {
 			var maxOptOps, maxOptScans, maxNaiveOps, maxNaiveScans int
 			for v := uint64(0); v < card; v++ {
 				var so, sn core.Stats
-				ix.EvalRangeOpt(op, v, &core.EvalOptions{Stats: &so})
+				ix.Eval(op, v, &core.EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &core.EvalOptions{Stats: &sn})
 				if so.Ops() > maxOptOps {
 					maxOptOps = so.Ops()
@@ -265,7 +265,7 @@ func TestExactTimeEqualityAgainstEvaluator(t *testing.T) {
 		for _, op := range core.AllOps {
 			for v := uint64(0); v < card; v++ {
 				var st core.Stats
-				ix.EvalEquality(op, v, &core.EvalOptions{Stats: &st})
+				ix.Eval(op, v, &core.EvalOptions{Stats: &st})
 				total += st.Scans
 			}
 		}

@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"bitmapindex/internal/core"
+	"bitmapindex/internal/flight"
+	"bitmapindex/internal/telemetry"
 )
 
 // TestScansForExact proves the per-query prediction exact against the
-// instrumented serial evaluators for every operator and constant, across
+// scans Eval charges for every operator and constant, across
 // all three encodings and several decompositions — the property
 // engine.ExplainAnalyze's scans_error=0 guarantee rests on.
 func TestScansForExact(t *testing.T) {
@@ -35,21 +37,26 @@ func TestScansForExact(t *testing.T) {
 	}
 }
 
-// TestScansForProbeCacheReuse checks repeated interval predictions reuse
-// one probe index (the cache key covers base, encoding and cardinality).
-func TestScansForProbeCacheReuse(t *testing.T) {
-	base := core.Base{5, 2}
-	ScansFor(base, core.IntervalEncoded, 10, core.Le, 3)
-	probeCache.Lock()
-	before := len(probeCache.m)
-	probeCache.Unlock()
-	for v := uint64(0); v < 10; v++ {
-		ScansFor(base, core.IntervalEncoded, 10, core.Ge, v)
-	}
-	probeCache.Lock()
-	after := len(probeCache.m)
-	probeCache.Unlock()
-	if after != before {
-		t.Fatalf("probe cache grew from %d to %d for one shape", before, after)
+// TestCostModelPublishesNoTelemetry: predicting scans is not querying.
+// ScansFor and MeasuredTime (behind ExactTime for interval encoding, and
+// so behind the design frontier and the workload advisor) must leave the
+// query counters and the flight recorder untouched, for every encoding.
+func TestCostModelPublishesNoTelemetry(t *testing.T) {
+	base := core.Base{10, 10}
+	const card = 100
+	for _, enc := range []core.Encoding{
+		core.RangeEncoded, core.EqualityEncoded, core.IntervalEncoded,
+	} {
+		q0, seq0 := telemetry.QueriesTotal.Value(), flight.Default().Seq()
+		if MeasuredTime(base, enc, card) <= 0 {
+			t.Fatalf("%v: MeasuredTime not positive", enc)
+		}
+		for _, op := range core.AllOps {
+			ScansFor(base, enc, card, op, 55)
+		}
+		if q, seq := telemetry.QueriesTotal.Value(), flight.Default().Seq(); q != q0 || seq != seq0 {
+			t.Fatalf("%v: bix_queries_total moved %d, flight records %d; want 0 and 0",
+				enc, q-q0, seq-seq0)
+		}
 	}
 }

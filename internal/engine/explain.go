@@ -122,12 +122,12 @@ func relErr(predicted, measured float64) float64 {
 // ExplainAnalyze executes the conjunction with the given method (Auto
 // resolves as usual) and returns a PlanReport comparing the paper's cost
 // model against the measured execution. When the executed plan is the
-// bitmap merge, predicted scans are exact for the serial evaluators (the
-// digit-level model counts the very fetches the evaluator performs), and
-// scan/time errors are also observed into the bix_cost_model_error_*
-// histograms with the query's trace ID as exemplar. opt may be nil; a
-// profiled trace is created when opt carries none, so the report's phase
-// breakdown includes per-phase allocation deltas.
+// bitmap merge, predicted scans are exact (the prediction is the compiled
+// predicate's distinct bitmap refs, the very fetches the evaluator
+// performs), and scan/time errors are also observed into the
+// bix_cost_model_error_* histograms with the query's trace ID as exemplar.
+// opt may be nil; a profiled trace is created when opt carries none, so
+// the report's phase breakdown includes per-phase allocation deltas.
 func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*PlanReport, error) {
 	var o SelectOptions
 	if opt != nil {

@@ -562,12 +562,7 @@ func (r *Relation) EstimateBytes(preds []Pred, m Method) (int64, error) {
 			if all || none {
 				continue
 			}
-			var scans int
-			if c.bitmap.Encoding() == core.RangeEncoded {
-				scans = cost.ScansRange(c.bitmap.Base(), c.Card(), rop, rank)
-			} else {
-				scans = cost.ScansEquality(c.bitmap.Base(), c.Card(), rop, rank)
-			}
+			scans := cost.ScansFor(c.bitmap.Base(), c.bitmap.Encoding(), c.Card(), rop, rank)
 			total += int64(scans) * bitmapBytes
 		}
 		return total, nil

@@ -29,9 +29,11 @@ func (c *CachedStore) evict(comp, slot int) {
 // evicted before a second touch within the same query must count the
 // refetch as a miss, since it really goes back to disk.
 //
-// On the base <2,2> equality index, A < 3 touches E_1^1 twice (once for
-// the digit comparison, once for the prefix-equality chain), so evicting
-// it between the touches exercises exactly that path.
+// The evaluator touches each bitmap of a query twice: its Buffered probe
+// (which decides whether the read is a scan) and then its Fetch. On the
+// base <2,2> equality index A < 3 reads E_1^1 and one more bitmap;
+// evicting E_1^1 from the fetch hook, after the probe saw it resident,
+// exercises exactly that path.
 func TestCacheEvictedMidQueryCountsMiss(t *testing.T) {
 	vals := []uint64{0, 1, 2, 3, 1, 2, 0, 3, 2, 1}
 	ix, err := core.Build(vals, 4, core.Base{2, 2}, core.EqualityEncoded, nil)
@@ -58,14 +60,12 @@ func TestCacheEvictedMidQueryCountsMiss(t *testing.T) {
 	}
 	h0, m0 := cs.Hits(), cs.Misses()
 
-	// Second pass: evict (1,0) between its first and second touch.
+	// Second pass: evict (1,0) between its residency probe and its fetch.
 	calls := 0
 	cs.fetchHook = func(comp, slot int) {
 		if comp == 1 && slot == 0 {
 			calls++
-			if calls == 2 {
-				cs.evict(1, 0)
-			}
+			cs.evict(1, 0)
 		}
 	}
 	defer func() { cs.fetchHook = nil }()
@@ -76,8 +76,8 @@ func TestCacheEvictedMidQueryCountsMiss(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("post-eviction result differs from in-memory eval")
 	}
-	if calls != 2 {
-		t.Fatalf("E_1^1 touched %d times, want 2 (query shape changed?)", calls)
+	if calls != 1 {
+		t.Fatalf("E_1^1 fetched %d times, want 1 (query shape changed?)", calls)
 	}
 	if hits := cs.Hits() - h0; hits != 2 {
 		t.Errorf("second pass hits = %d, want 2", hits)
