@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build vet test lint lint-timings sarif race bixdebug bixperf scaling \
-	fuzz ci cover bench-baseline bench-compare
+	examples fuzz ci cover bench-baseline bench-compare
 
 all: build
 
@@ -74,9 +74,17 @@ bench-compare:
 bixperf:
 	cd bixperf && $(GO) vet ./... && $(GO) test ./...
 
+# Run every example end to end: go build ./... compiles them but never
+# runs them, and they are the only non-test callers of the engine API.
+EXAMPLES = advisor maintenance quickstart storagetour warehouse
+
+examples:
+	@for e in $(EXAMPLES); do echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; done
+
 # The full gate: build + vet + lint + race-enabled tests, same order as CI.
 # Equivalent to `go run ./cmd/bixlint -ci`.
 ci:
 	$(GO) run ./cmd/bixlint -ci
+	$(MAKE) examples
 	$(MAKE) bixperf
 	$(MAKE) bixdebug

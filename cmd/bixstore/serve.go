@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -344,6 +345,11 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	limit, err := ridLimit(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	analyze := r.URL.Query().Get("analyze") == "1"
 	eval := s.eval
 	if analyze {
@@ -402,18 +408,40 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 			AllocBytes: p.AllocBytes, AllocObjects: p.AllocObjects,
 		})
 	}
-	if r.URL.Query().Get("rids") == "1" {
-		limit := 20
-		if ls := r.URL.Query().Get("limit"); ls != "" {
-			fmt.Sscanf(ls, "%d", &limit)
-		}
-		res.Ones(func(rid int) bool {
-			resp.RIDs = append(resp.RIDs, rid)
-			return len(resp.RIDs) < limit
-		})
-	}
+	resp.RIDs = firstRIDs(res, limit)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// ridLimit parses the rids and limit parameters of a /query request into
+// the number of matching record ids the response lists: none unless
+// rids=1, else limit (20 when absent). A limit that is not a non-negative
+// integer is an error, whether or not rids=1 is set.
+func ridLimit(q url.Values) (int, error) {
+	limit := 20
+	if ls := q.Get("limit"); ls != "" {
+		n, err := strconv.Atoi(ls)
+		if err != nil || n < 0 {
+			return 0, fmt.Errorf("bad limit %q", ls)
+		}
+		limit = n
+	}
+	if q.Get("rids") != "1" {
+		return 0, nil
+	}
+	return limit, nil
+}
+
+// firstRIDs returns the ids of the first limit rows set in res.
+func firstRIDs(res *bitmapindex.Bitmap, limit int) []int {
+	var rids []int
+	if limit > 0 {
+		res.Ones(func(rid int) bool {
+			rids = append(rids, rid)
+			return len(rids) < limit
+		})
+	}
+	return rids
 }
 
 // debugQueriesResponse is the JSON body of /debug/queries.

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -74,6 +73,11 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	limit, err := ridLimit(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	m := storage.Metrics{Trace: telemetry.NewTrace(q)}
 	start := time.Now()
 	res, err := s.tbl.Query(preds, &m)
@@ -101,16 +105,7 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		BytesRead: m.BytesRead,
 		ElapsedNS: int64(elapsed),
 	}
-	if r.URL.Query().Get("rids") == "1" {
-		limit := 20
-		if ls := r.URL.Query().Get("limit"); ls != "" {
-			fmt.Sscanf(ls, "%d", &limit)
-		}
-		res.Ones(func(rid int) bool {
-			resp.RIDs = append(resp.RIDs, rid)
-			return len(resp.RIDs) < limit
-		})
-	}
+	resp.RIDs = firstRIDs(res, limit)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }

@@ -70,7 +70,7 @@ func main() {
 	for _, m := range []engine.Method{
 		engine.FullScan, engine.IndexFilter, engine.RIDMerge, engine.BitmapMerge,
 	} {
-		res, cost, err := rel.Select(query, m)
+		res, cost, err := rel.Select(engine.Request{Preds: query, Method: m})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func main() {
 		fmt.Printf("%-16s %9d bytes read   %d rows\n", m, cost.BytesRead, cost.Rows)
 	}
 
-	_, cost, err := rel.Select(query, engine.Auto)
+	_, cost, err := rel.Select(engine.Request{Preds: query, Method: engine.Auto})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func main() {
 		),
 		engine.Not(engine.Leaf(engine.Pred{Col: "shipmode", Op: bitmapindex.Eq, Val: 6})),
 	)
-	res, exprCost, err := rel.SelectExpr(expr, engine.BitmapMerge)
+	res, exprCost, err := rel.Select(engine.Request{Expr: expr, Method: engine.BitmapMerge})
 	if err != nil {
 		log.Fatal(err)
 	}

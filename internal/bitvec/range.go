@@ -136,16 +136,3 @@ func (v *Vector) CountRange(lo, hi int) int {
 	}
 	return c
 }
-
-// AnyRange reports whether any bit is set in the word window [lo, hi).
-//
-//bix:hotpath
-func (v *Vector) AnyRange(lo, hi int) bool {
-	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		if v.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}

@@ -59,7 +59,7 @@ func TestCreateOpenQuery(t *testing.T) {
 			{{Col: "quantity", Op: core.Ge, Val: 1}, {Col: "price", Op: core.Ne, Val: 0}},
 		}
 		for qi, preds := range queries {
-			want, _, err := rel.Select(preds, engine.FullScan)
+			want, _, err := rel.Select(engine.Request{Preds: preds, Method: engine.FullScan})
 			if err != nil {
 				t.Fatal(err)
 			}

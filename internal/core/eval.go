@@ -157,7 +157,7 @@ func (s *Stats) addRun(scans int, ops Stats) {
 // the flight recorder, so the paper's two cost measures are observable
 // without threading a Stats through every caller.
 func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	res, _, _ := ix.segRun(op, v, opt, SegConfig{Workers: 1}, segMaterialize, ix.evalPlan(), telemetry.PhaseBoolOps)
+	res, _ := ix.segRun(op, v, opt, SegConfig{Workers: 1}, segMaterialize, ix.evalPlan(), telemetry.PhaseBoolOps)
 	return res
 }
 

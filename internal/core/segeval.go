@@ -108,7 +108,6 @@ func segPoolSubmit(fn func()) bool {
 const (
 	segMaterialize = iota // build the full result vector
 	segCount              // per-segment popcount, no shared result
-	segAny                // early exit on the first non-empty segment
 )
 
 // segRegSet is one worker's scratch register file, recycled across
@@ -121,7 +120,7 @@ const (
 // in which register 0 may alias the query's shared result vector instead
 // of a scratch. Stale scratch content is safe by construction: a
 // segProgram initializes every register (sLoad/sZero/sOnes) inside the
-// segment window before combining into it, and Count/Any read only the
+// segment window before combining into it, and Count reads only the
 // window just written.
 type segRegSet struct {
 	rows int
@@ -179,7 +178,7 @@ func putSegRegs(rs *segRegSet) {
 // safe for concurrent use — a CachedStore's per-query closures work
 // unchanged. The fetched bitmaps themselves are only read concurrently.
 func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
-	res, _, _ := ix.segmented(op, v, opt, cfg, segMaterialize)
+	res, _ := ix.segmented(op, v, opt, cfg, segMaterialize)
 	return res
 }
 
@@ -187,23 +186,14 @@ func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig)
 // qualifying records, popcounting each segment in place of stitching a
 // result vector — the fast path for COUNT(*) consumers.
 func (ix *Index) SegmentedCount(op Op, v uint64, opt *EvalOptions, cfg SegConfig) int {
-	_, n, _ := ix.segmented(op, v, opt, cfg, segCount)
+	_, n := ix.segmented(op, v, opt, cfg, segCount)
 	return n
-}
-
-// SegmentedAny evaluates (A op v) and reports whether any record
-// qualifies, stopping all workers as soon as one segment turns up a set
-// bit. Reported operation counts still cover the full program, since the
-// logical per-query cost measures do not depend on the early exit.
-func (ix *Index) SegmentedAny(op Op, v uint64, opt *EvalOptions, cfg SegConfig) bool {
-	_, _, any := ix.segmented(op, v, opt, cfg, segAny)
-	return any
 }
 
 // segmented is the shared body of the Segmented* entry points: counted in
 // bix_segment_eval_total, recorded under the eval-segmented plan tag, with
 // the combination time traced per segment so skew stays visible.
-func (ix *Index) segmented(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int) (*bitvec.Vector, int, bool) {
+func (ix *Index) segmented(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int) (*bitvec.Vector, int) {
 	telemetry.SegmentEvalTotal.Inc()
 	return ix.segRun(op, v, opt, cfg, mode, planEvalSegmented, telemetry.PhaseSegments)
 }
@@ -213,7 +203,7 @@ func (ix *Index) segmented(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mod
 // registry and the flight recorder under the given plan tag. Scans are
 // counted from the program's refs whether or not opt.Stats is set. The
 // window combination time is traced as the given phase.
-func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int, plan string, phase telemetry.Phase) (*bitvec.Vector, int, bool) {
+func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int, plan string, phase telemetry.Phase) (*bitvec.Vector, int) {
 	cfg = cfg.normalized()
 	var o EvalOptions
 	if opt != nil {
@@ -227,7 +217,7 @@ func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode i
 		x = ix.prepare(prog, &o, phase)
 		x.run(1<<(cfg.SegBits-6), cfg.Workers, mode)
 	})
-	res, count, any := x.res, int(x.total.Load()), x.found.Load()
+	res, count := x.res, int(x.total.Load())
 
 	o.Stats.addRun(x.scans, prog.ops)
 	elapsed := time.Since(t0)
@@ -250,7 +240,7 @@ func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode i
 	if invariant.Enabled {
 		ix.crossCheck(op, v, x, &o)
 	}
-	return res, count, any
+	return res, count
 }
 
 // exec runs prog on the calling goroutine and accumulates its counts
@@ -277,12 +267,10 @@ type segExec struct {
 	tr    *telemetry.Trace
 	phase telemetry.Phase // trace phase of the per-window combination time
 
-	// Run state: the segment cursor, the shared result and the count/any
-	// outcome.
+	// Run state: the segment cursor, the shared result and the count.
 	mode, nwords, segWords, nseg int
 	res                          *bitvec.Vector
 	next, total                  atomic.Int64
-	found                        atomic.Bool
 	wg                           sync.WaitGroup
 }
 
@@ -317,9 +305,8 @@ func (ix *Index) resolve(o *EvalOptions, rf segRef) *bitvec.Vector {
 
 // run replays the program over windows of segWords words, using up to
 // workers goroutines including the calling one. It leaves the result
-// vector (segMaterialize, also returned), the qualifying-row count
-// (segCount) or whether any row qualifies (segAny) in x. A segExec runs
-// once.
+// vector (segMaterialize, also returned) or the qualifying-row count
+// (segCount) in x. A segExec runs once.
 func (x *segExec) run(segWords, workers, mode int) *bitvec.Vector {
 	x.mode, x.nwords, x.segWords = mode, (x.rows+63)/64, max(segWords, 1)
 	x.nseg = (x.nwords + x.segWords - 1) / x.segWords
@@ -342,8 +329,7 @@ func (x *segExec) run(segWords, workers, mode int) *bitvec.Vector {
 	return x.res
 }
 
-// drain claims segments until none are left (or, in any mode, until some
-// worker found a row).
+// drain claims segments until none are left.
 func (x *segExec) drain() {
 	// Worker-local scratch registers, checked out of segRegPool on the
 	// first segment this goroutine actually claims and returned at exit.
@@ -353,9 +339,6 @@ func (x *segExec) drain() {
 	var rs *segRegSet
 	local := 0
 	for {
-		if x.mode == segAny && x.found.Load() {
-			break
-		}
 		s := int(x.next.Add(1)) - 1
 		if s >= x.nseg {
 			break
@@ -370,13 +353,8 @@ func (x *segExec) drain() {
 			ts = time.Now()
 		}
 		runSegment(x.prog, x.srcs, rs.regs, lo, hi)
-		switch x.mode {
-		case segCount:
+		if x.mode == segCount {
 			local += rs.regs[0].CountRange(lo, hi)
-		case segAny:
-			if rs.regs[0].AnyRange(lo, hi) {
-				x.found.Store(true)
-			}
 		}
 		if x.tr != nil {
 			x.tr.Add(x.phase, time.Since(ts))
@@ -426,7 +404,7 @@ func runSegment(p *segProgram, srcs, regs []*bitvec.Vector, lo, hi int) {
 
 // crossCheck (bixdebug only) verifies one evaluation two ways without
 // calling the caller's Fetch again. First, the same program re-run with a
-// different window split must give the same bitmap, count and any: one
+// different window split must give the same bitmap or count: one
 // window over all rows when x ran several, one-word windows when it ran
 // one. Second, on range-encoded indexes Algorithm RangeEval, compiled into
 // the same IR, must perform no fewer bitmap operations than RangeEval-Opt
@@ -443,14 +421,11 @@ func (ix *Index) crossCheck(op Op, v uint64, x *segExec, o *EvalOptions) {
 	}
 	want := (&segExec{prog: x.prog, srcs: x.srcs, rows: x.rows}).run(alt, 1, segMaterialize)
 	invariant.TailZero(want.Words(), want.Len())
-	switch x.mode {
-	case segMaterialize:
+	if x.mode == segMaterialize {
 		invariant.TailZero(x.res.Words(), x.res.Len())
 		invariant.Assert(want.Equal(x.res), "core: result differs across window splits")
-	case segCount:
+	} else {
 		invariant.Assert(want.Count() == int(x.total.Load()), "core: count differs across window splits")
-	default: // segAny
-		invariant.Assert(want.Any() == x.found.Load(), "core: any differs across window splits")
 	}
 	if ix.enc != RangeEncoded {
 		return

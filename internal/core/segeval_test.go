@@ -193,14 +193,11 @@ func TestSegmentedLargeMultiSegment(t *testing.T) {
 			if got := ix.SegmentedCount(op, v, nil, cfg); got != want.Count() {
 				t.Fatalf("A %s %d: SegmentedCount = %d, want %d", op, v, got, want.Count())
 			}
-			if got := ix.SegmentedAny(op, v, nil, cfg); got != want.Any() {
-				t.Fatalf("A %s %d: SegmentedAny = %v, want %v", op, v, got, want.Any())
-			}
 		}
 	}
 }
 
-// TestSegmentedCountAnyEmpty pins the count/any fast paths on empty and
+// TestSegmentedCountAnyEmpty pins the count fast path on empty and
 // trivial results, including a non-trivial empty result (a present-rank
 // equality that no row carries).
 func TestSegmentedCountAnyEmpty(t *testing.T) {
@@ -217,17 +214,11 @@ func TestSegmentedCountAnyEmpty(t *testing.T) {
 	if got := ix.SegmentedCount(Eq, 15, nil, cfg); got != 0 {
 		t.Fatalf("empty Eq count = %d", got)
 	}
-	if ix.SegmentedAny(Eq, 15, nil, cfg) {
-		t.Fatal("empty Eq reported any=true")
-	}
 	if got := ix.SegmentedCount(Lt, 0, nil, cfg); got != 0 {
 		t.Fatalf("A < 0 count = %d", got)
 	}
 	if got := ix.SegmentedCount(Ge, 0, nil, cfg); got != n {
 		t.Fatalf("A >= 0 count = %d, want %d", got, n)
-	}
-	if !ix.SegmentedAny(Le, 0, nil, cfg) {
-		t.Fatal("A <= 0 reported any=false")
 	}
 	// Trivial constants (v >= card).
 	if got := ix.SegmentedCount(Le, 99, nil, cfg); got != n {
@@ -389,7 +380,7 @@ func TestSegRegSet(t *testing.T) {
 		}
 	}
 
-	// Count/Any mode: no shared vector, register 0 is scratch too.
+	// Count mode: no shared vector, register 0 is scratch too.
 	rs2 := getSegRegs(rows, 2, nil)
 	if rs2.regs[0] == nil || rs2.regs[0].Len() != rows {
 		t.Fatal("count mode must provide scratch for register 0")

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"bitmapindex/internal/core"
+	"bitmapindex/internal/invariant"
 )
 
 // allocRows is sized so a result bitvec (rows/8 bytes) is a large heap
@@ -20,7 +22,7 @@ func TestSelectReportsAllocDeltas(t *testing.T) {
 	rel := buildRelation(t, allocRows, 7)
 	preds := []Pred{{Col: "quantity", Op: core.Le, Val: 25}}
 	for _, m := range []Method{FullScan, BitmapMerge} {
-		_, c, err := rel.Select(preds, m)
+		_, c, err := rel.Select(Request{Preds: preds, Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +43,7 @@ func TestAutoSelectAccountsAllocs(t *testing.T) {
 		{Col: "quantity", Op: core.Ge, Val: 40},
 		{Col: "region", Op: core.Le, Val: 5},
 	}
-	_, c, err := rel.Select(preds, Auto)
+	_, c, err := rel.Select(Request{Preds: preds, Method: Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,15 +51,49 @@ func TestAutoSelectAccountsAllocs(t *testing.T) {
 		t.Errorf("auto plan alloc delta %d bytes, below the %d-byte result-vector floor",
 			c.AllocBytes, allocRows/8)
 	}
-	n, cc, err := rel.SelectCount(preds, BitmapMerge, nil)
+	_, cc, err := rel.Select(Request{Preds: preds, Method: BitmapMerge, Count: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != c.Rows {
-		t.Fatalf("count %d != select rows %d", n, c.Rows)
+	if cc.Rows != c.Rows {
+		t.Fatalf("count %d != select rows %d", cc.Rows, c.Rows)
 	}
 	if cc.AllocBytes < allocRows/8 {
 		t.Errorf("fused count alloc delta %d bytes, below the %d-byte intermediate floor",
 			cc.AllocBytes, allocRows/8)
+	}
+}
+
+// TestCountModeBuildsNoResultVector guards the count pushdown: counting
+// with FullScan, or with a single predicate on the segmented bitmap plan,
+// must not allocate a rows/8 result vector. Each case is measured after a
+// warm-up run, and the smallest of several runs is compared, so pooled
+// segment registers and small-object span refills are not counted. Under
+// -tags bixdebug every core evaluation re-runs its program into a fresh
+// vector for the window-split cross-check, so the bitmap case is checked
+// in normal builds only.
+func TestCountModeBuildsNoResultVector(t *testing.T) {
+	rel := buildRelation(t, allocRows, 7)
+	preds := []Pred{{Col: "quantity", Op: core.Le, Val: 25}}
+	reqs := []Request{{Preds: preds, Method: FullScan, Count: true}}
+	if !invariant.Enabled {
+		reqs = append(reqs, Request{Preds: preds, Method: BitmapMerge, Count: true, Parallel: true, Workers: 1})
+	}
+	for _, req := range reqs {
+		if _, _, err := rel.Select(req); err != nil {
+			t.Fatal(err)
+		}
+		least := int64(math.MaxInt64)
+		for i := 0; i < 5; i++ {
+			_, c, err := rel.Select(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, c.AllocBytes)
+		}
+		if least >= allocRows/8 {
+			t.Errorf("%v count (parallel=%v): allocated at least %d bytes per run, a %d-byte result vector",
+				req.Method, req.Parallel, least, allocRows/8)
+		}
 	}
 }

@@ -107,7 +107,7 @@ func TestAllPlansAgree(t *testing.T) {
 	for qi, preds := range queries {
 		var ref *bitvec.Vector
 		for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge, Auto} {
-			got, cost, err := rel.Select(preds, m)
+			got, cost, err := rel.Select(Request{Preds: preds, Method: m})
 			if err != nil {
 				t.Fatalf("query %d method %v: %v", qi, m, err)
 			}
@@ -147,11 +147,11 @@ func TestIntroCostCrossover(t *testing.T) {
 	bitmapBytes := int64((n + 7) / 8)
 	for v := int64(0); v < 64; v++ {
 		preds := []Pred{{Col: "a", Op: core.Eq, Val: v}}
-		_, ridCost, err := rel.Select(preds, RIDMerge)
+		_, ridCost, err := rel.Select(Request{Preds: preds, Method: RIDMerge})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bmCost, err := rel.Select(preds, BitmapMerge)
+		_, bmCost, err := rel.Select(Request{Preds: preds, Method: BitmapMerge})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestIntroCostCrossover(t *testing.T) {
 func TestAutoPicksCheapest(t *testing.T) {
 	rel := buildRelation(t, 5000, 2)
 	preds := []Pred{{Col: "quantity", Op: core.Le, Val: 40}, {Col: "region", Op: core.Ne, Val: 7}}
-	_, autoCost, err := rel.Select(preds, Auto)
+	_, autoCost, err := rel.Select(Request{Preds: preds, Method: Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAutoPicksCheapest(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		_, c, err := rel.Select(preds, m)
+		_, c, err := rel.Select(Request{Preds: preds, Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,20 +210,20 @@ func TestRelationErrors(t *testing.T) {
 	if _, err := rel.Column("nope"); err == nil {
 		t.Error("missing column must fail")
 	}
-	if _, _, err := rel.Select(nil, FullScan); err == nil {
+	if _, _, err := rel.Select(Request{Method: FullScan}); err == nil {
 		t.Error("empty predicate list must fail")
 	}
-	if _, _, err := rel.Select([]Pred{{Col: "zzz", Op: core.Eq, Val: 1}}, FullScan); err == nil {
+	if _, _, err := rel.Select(Request{Preds: []Pred{{Col: "zzz", Op: core.Eq, Val: 1}}, Method: FullScan}); err == nil {
 		t.Error("unknown column in predicate must fail")
 	}
 	// Plans that need indexes fail without them.
-	if _, _, err := rel.Select([]Pred{{Col: "a", Op: core.Eq, Val: 1}}, RIDMerge); err == nil {
+	if _, _, err := rel.Select(Request{Preds: []Pred{{Col: "a", Op: core.Eq, Val: 1}}, Method: RIDMerge}); err == nil {
 		t.Error("RIDMerge without RID index must fail")
 	}
-	if _, _, err := rel.Select([]Pred{{Col: "a", Op: core.Eq, Val: 1}}, BitmapMerge); err == nil {
+	if _, _, err := rel.Select(Request{Preds: []Pred{{Col: "a", Op: core.Eq, Val: 1}}, Method: BitmapMerge}); err == nil {
 		t.Error("BitmapMerge without bitmap index must fail")
 	}
-	if _, _, err := rel.Select([]Pred{{Col: "a", Op: core.Eq, Val: 1}}, IndexFilter); err == nil {
+	if _, _, err := rel.Select(Request{Preds: []Pred{{Col: "a", Op: core.Eq, Val: 1}}, Method: IndexFilter}); err == nil {
 		t.Error("IndexFilter without any RID index must fail")
 	}
 	if _, err := rel.AddRanked("c", []uint64{5}, 4); err == nil {
@@ -244,30 +244,13 @@ func TestRowBytes(t *testing.T) {
 	}
 }
 
-func TestSortRIDs(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		n := r.Intn(500)
-		rids := make([]uint32, n)
-		for i := range rids {
-			rids[i] = uint32(r.Intn(1000))
-		}
-		sortRIDs(rids)
-		for i := 1; i < len(rids); i++ {
-			if rids[i] < rids[i-1] {
-				t.Fatalf("not sorted at %d", i)
-			}
-		}
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge, Auto} {
 		if m.String() == "" {
 			t.Fatal("empty method name")
 		}
 	}
-	if _, _, err := buildRelation(t, 10, 5).Select([]Pred{{Col: "quantity", Op: core.Eq, Val: 1}}, Method(42)); err == nil {
+	if _, _, err := buildRelation(t, 10, 5).Select(Request{Preds: []Pred{{Col: "quantity", Op: core.Eq, Val: 1}}, Method: Method(42)}); err == nil {
 		t.Fatal("unknown method must fail")
 	}
 }

@@ -119,38 +119,36 @@ func relErr(predicted, measured float64) float64 {
 	return math.Abs(predicted-measured) / denom
 }
 
-// ExplainAnalyze executes the conjunction with the given method (Auto
-// resolves as usual) and returns a PlanReport comparing the paper's cost
-// model against the measured execution. When the executed plan is the
-// bitmap merge, predicted scans are exact (the prediction is the compiled
-// predicate's distinct bitmap refs, the very fetches the evaluator
-// performs), and scan/time errors are also observed into the
-// bix_cost_model_error_* histograms with the query's trace ID as exemplar.
-// opt may be nil; a profiled trace is created when opt carries none, so
-// the report's phase breakdown includes per-phase allocation deltas.
-func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*PlanReport, error) {
-	var o SelectOptions
-	if opt != nil {
-		o = *opt
-	}
-	query := predsSummary(preds)
-	if o.Trace == nil {
-		o.Trace = telemetry.NewTrace(query).Profile()
+// ExplainAnalyze runs the request (Auto resolves as usual) and returns a
+// PlanReport comparing the paper's cost model against the measured
+// execution, with one prediction node per predicate in evaluation order.
+// When the executed plan is the bitmap merge, predicted scans are exact
+// (the prediction is the compiled predicate's distinct bitmap refs, the
+// very fetches the evaluator performs), and scan/time errors are also
+// observed into the bix_cost_model_error_* histograms with the query's
+// trace ID as exemplar. A profiled trace is created when req carries
+// none, so the report's phase breakdown includes per-phase allocation
+// deltas.
+func (r *Relation) ExplainAnalyze(req Request) (*PlanReport, error) {
+	query := req.summary()
+	if req.Trace == nil {
+		req.Trace = telemetry.NewTrace(query).Profile()
 	}
 	var actuals []predActual
-	o.perPred = &actuals
+	req.perPred = &actuals
 
 	t0 := time.Now()
-	_, c, err := r.SelectOpts(preds, m, &o)
+	_, c, err := r.Select(req)
 	if err != nil {
 		return nil, err
 	}
 	total := time.Since(t0)
+	preds := appendLeaves(nil, req.expr())
 
 	rep := &PlanReport{
 		Query:   query,
 		Method:  c.Method.String(),
-		TraceID: o.Trace.ID(),
+		TraceID: req.Trace.ID(),
 		Rows:    c.Rows,
 		TotalNS: total.Nanoseconds(),
 
@@ -160,7 +158,7 @@ func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*
 
 		AllocBytes:   c.AllocBytes,
 		AllocObjects: c.AllocObjects,
-		Phases:       o.Trace.Phases(),
+		Phases:       req.Trace.Phases(),
 	}
 	if est, eerr := r.EstimateBytes(preds, c.Method); eerr == nil {
 		rep.EstBytesRead = est
@@ -208,7 +206,7 @@ func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*
 			rep.PredictedNS = pred
 			rep.TimeError = relErr(pred, float64(evalNS))
 		}
-		recordModelError(rep, o.Trace)
+		recordModelError(rep, req.Trace)
 		calibrate(rep.MeasuredScans, evalNS)
 	}
 	return rep, nil

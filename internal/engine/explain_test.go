@@ -25,7 +25,7 @@ func TestExplainAnalyzeExactScans(t *testing.T) {
 	}
 	before := telemetry.CostModelErrorScans.Count()
 	for qi, preds := range queries {
-		rep, err := rel.ExplainAnalyze(preds, BitmapMerge, nil)
+		rep, err := rel.ExplainAnalyze(Request{Preds: preds, Method: BitmapMerge})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
@@ -49,7 +49,7 @@ func TestExplainAnalyzeExactScans(t *testing.T) {
 			}
 		}
 		// Cross-check the reported actuals against a plain Select.
-		_, c, err := rel.Select(preds, BitmapMerge)
+		_, c, err := rel.Select(Request{Preds: preds, Method: BitmapMerge})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestExplainAnalyzeExactScans(t *testing.T) {
 // (the dictionary flags it trivial-none).
 func TestExplainAnalyzeTrivialPredicate(t *testing.T) {
 	rel := buildRelation(t, 500, 3)
-	rep, err := rel.ExplainAnalyze([]Pred{{Col: "region", Op: core.Ge, Val: -5}}, BitmapMerge, nil)
+	rep, err := rel.ExplainAnalyze(Request{Preds: []Pred{{Col: "region", Op: core.Ge, Val: -5}}, Method: BitmapMerge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestExplainAnalyzeTrivialPredicate(t *testing.T) {
 		t.Fatalf("rows = %d, want all 500", rep.Rows)
 	}
 
-	rep, err = rel.ExplainAnalyze([]Pred{{Col: "region", Op: core.Eq, Val: 999}}, BitmapMerge, nil)
+	rep, err = rel.ExplainAnalyze(Request{Preds: []Pred{{Col: "region", Op: core.Eq, Val: 999}}, Method: BitmapMerge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestExplainAnalyzeTrivialPredicate(t *testing.T) {
 func TestExplainAnalyzeTimeCalibration(t *testing.T) {
 	rel := buildRelation(t, 2000, 5)
 	preds := []Pred{{Col: "price", Op: core.Le, Val: 2000}}
-	if _, err := rel.ExplainAnalyze(preds, BitmapMerge, nil); err != nil {
+	if _, err := rel.ExplainAnalyze(Request{Preds: preds, Method: BitmapMerge}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := rel.ExplainAnalyze(preds, BitmapMerge, nil)
+	rep, err := rel.ExplainAnalyze(Request{Preds: preds, Method: BitmapMerge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestExplainAnalyzeTimeCalibration(t *testing.T) {
 func TestExplainAnalyzeNonBitmapPlan(t *testing.T) {
 	rel := buildRelation(t, 500, 7)
 	before := telemetry.CostModelErrorScans.Count()
-	rep, err := rel.ExplainAnalyze([]Pred{{Col: "quantity", Op: core.Le, Val: 10}}, FullScan, nil)
+	rep, err := rel.ExplainAnalyze(Request{Preds: []Pred{{Col: "quantity", Op: core.Le, Val: 10}}, Method: FullScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExplainAnalyzeNonBitmapPlan(t *testing.T) {
 // field names (the wire contract of /query?analyze=1).
 func TestExplainAnalyzeJSON(t *testing.T) {
 	rel := buildRelation(t, 500, 9)
-	rep, err := rel.ExplainAnalyze([]Pred{{Col: "region", Op: core.Eq, Val: 3}}, Auto, nil)
+	rep, err := rel.ExplainAnalyze(Request{Preds: []Pred{{Col: "region", Op: core.Eq, Val: 3}}, Method: Auto})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,26 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 
 	"bitmapindex/internal/bitvec"
-	"bitmapindex/internal/core"
+	"bitmapindex/internal/telemetry"
 )
 
 // Expr is a boolean selection expression over column predicates. The
 // efficient hardware support for bitmap AND/OR/NOT is the paper's core
 // motivation for bitmap indexes; expressions compose predicate bitmaps
-// with exactly those operations.
+// with exactly those operations. A conjunction of predicates is
+// All(Leaf(p1), Leaf(p2), ...), and that is how Select runs one.
 type Expr interface {
 	// String renders the expression as SQL-ish text.
 	String() string
-	// evalScan tests one row directly against the columns.
-	evalScan(r *Relation, row int) bool
-	// evalBitmap evaluates via bitmap indexes, accumulating index bytes.
-	evalBitmap(r *Relation, bytes *int64) (*bitvec.Vector, error)
+	// rowTest binds the expression to r's columns, resolving each leaf's
+	// column once, and returns a test of one row.
+	rowTest(r *Relation) (func(row int) bool, error)
+	// bitmap evaluates the expression through bitmap indexes. In count
+	// mode it returns only the number of qualifying rows.
+	bitmap(x *bitmapRun, count bool) (*bitvec.Vector, int, error)
 }
 
 // Leaf lifts a predicate into an expression.
@@ -33,34 +35,36 @@ func Any(es ...Expr) Expr { return naryExpr{op: "OR", es: es} }
 // Not negates an expression; null rows still never match.
 func Not(e Expr) Expr { return notExpr{e} }
 
+// appendLeaves appends e's predicates to dst in evaluation order.
+func appendLeaves(dst []Pred, e Expr) []Pred {
+	switch e := e.(type) {
+	case leafExpr:
+		return append(dst, e.p)
+	case naryExpr:
+		for _, sub := range e.es {
+			dst = appendLeaves(dst, sub)
+		}
+	case notExpr:
+		return appendLeaves(dst, e.e)
+	}
+	return dst
+}
+
 type leafExpr struct{ p Pred }
 
 func (l leafExpr) String() string { return l.p.String() }
 
-func (l leafExpr) evalScan(r *Relation, row int) bool {
-	c, _ := r.Column(l.p.Col)
-	return l.p.matches(c, row)
-}
-
-func (l leafExpr) evalBitmap(r *Relation, bytes *int64) (*bitvec.Vector, error) {
+func (l leafExpr) rowTest(r *Relation) (func(int) bool, error) {
 	c, err := r.Column(l.p.Col)
 	if err != nil {
 		return nil, err
 	}
-	if c.bitmap == nil {
-		return nil, fmt.Errorf("engine: column %q has no bitmap index", l.p.Col)
-	}
-	rop, rank, all, none := c.dict.Translate(l.p.Op, l.p.Val)
-	switch {
-	case none:
-		return bitvec.New(r.Rows()), nil
-	case all:
-		return bitvec.NewOnes(r.Rows()), nil
-	}
-	var st core.Stats
-	res := c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: &st})
-	*bytes += int64(st.Scans) * int64((r.Rows()+7)/8)
-	return res, nil
+	p := l.p
+	return func(row int) bool { return p.matches(c, row) }, nil
+}
+
+func (l leafExpr) bitmap(x *bitmapRun, count bool) (*bitvec.Vector, int, error) {
+	return x.leaf(l.p, count)
 }
 
 type naryExpr struct {
@@ -82,98 +86,95 @@ func (n naryExpr) String() string {
 	return "(" + strings.Join(parts, " "+n.op+" ") + ")"
 }
 
-func (n naryExpr) evalScan(r *Relation, row int) bool {
-	if n.op == "AND" {
-		for _, e := range n.es {
-			if !e.evalScan(r, row) {
-				return false
-			}
-		}
-		return true
+func (n naryExpr) rowTest(r *Relation) (func(int) bool, error) {
+	if len(n.es) == 1 {
+		return n.es[0].rowTest(r)
 	}
-	for _, e := range n.es {
-		if e.evalScan(r, row) {
-			return true
-		}
-	}
-	return false
-}
-
-func (n naryExpr) evalBitmap(r *Relation, bytes *int64) (*bitvec.Vector, error) {
-	var acc *bitvec.Vector
-	for _, e := range n.es {
-		b, err := e.evalBitmap(r, bytes)
+	tests := make([]func(int) bool, len(n.es))
+	for i, e := range n.es {
+		t, err := e.rowTest(r)
 		if err != nil {
 			return nil, err
 		}
-		if acc == nil {
+		tests[i] = t
+	}
+	// A conjunction stops at the first false operand, a disjunction at the
+	// first true one.
+	and := n.op == "AND"
+	return func(row int) bool {
+		for _, t := range tests {
+			if t(row) != and {
+				return !and
+			}
+		}
+		return and
+	}, nil
+}
+
+func (n naryExpr) bitmap(x *bitmapRun, count bool) (*bitvec.Vector, int, error) {
+	if len(n.es) == 1 {
+		return n.es[0].bitmap(x, count)
+	}
+	tr := x.req.Trace
+	var acc *bitvec.Vector
+	for i, e := range n.es {
+		b, _, err := e.bitmap(x, false)
+		if err != nil {
+			return nil, 0, err
+		}
+		switch {
+		case acc == nil:
 			acc = b
-			continue
-		}
-		if n.op == "AND" {
-			acc.And(b)
-		} else {
+		case n.op == "OR":
+			sp := tr.Start(telemetry.PhaseBoolOps)
 			acc.Or(b)
+			sp.End()
+			x.st.Ors++
+		case count && i == len(n.es)-1:
+			// Fuse the last AND with the popcount: the conjunction's
+			// result vector is never written.
+			sp := tr.Start(telemetry.PhasePopcount)
+			k := bitvec.AndCount(acc, b)
+			sp.End()
+			x.st.Ands++
+			return nil, k, nil
+		default:
+			sp := tr.Start(telemetry.PhaseBoolOps)
+			acc.And(b)
+			sp.End()
+			x.st.Ands++
 		}
 	}
-	if acc == nil {
-		if n.op == "AND" {
-			return bitvec.NewOnes(r.Rows()), nil
-		}
-		return bitvec.New(r.Rows()), nil
+	switch {
+	case acc != nil:
+	case n.op == "AND":
+		acc = bitvec.NewOnes(x.r.Rows())
+	default:
+		acc = bitvec.New(x.r.Rows())
 	}
-	return acc, nil
+	return x.result(acc, count)
 }
 
 type notExpr struct{ e Expr }
 
 func (n notExpr) String() string { return "NOT " + n.e.String() }
 
-func (n notExpr) evalScan(r *Relation, row int) bool { return !n.e.evalScan(r, row) }
-
-func (n notExpr) evalBitmap(r *Relation, bytes *int64) (*bitvec.Vector, error) {
-	b, err := n.e.evalBitmap(r, bytes)
+func (n notExpr) rowTest(r *Relation) (func(int) bool, error) {
+	t, err := n.e.rowTest(r)
 	if err != nil {
 		return nil, err
 	}
-	out := b.Clone()
-	out.Not()
-	return out, nil
+	return func(row int) bool { return !t(row) }, nil
 }
 
-// SelectExpr evaluates a boolean expression over the relation. FullScan
-// tests each row; BitmapMerge composes predicate bitmaps with AND/OR/NOT
-// (every referenced column needs a bitmap index). Other methods are not
-// applicable to general expressions.
-func (r *Relation) SelectExpr(e Expr, m Method) (*bitvec.Vector, Cost, error) {
-	switch m {
-	case FullScan:
-		out := bitvec.New(r.Rows())
-		for row := 0; row < r.Rows(); row++ {
-			if e.evalScan(r, row) {
-				out.Set(row)
-			}
-		}
-		return out, Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: out.Count()}, nil
-	case BitmapMerge:
-		var bytes int64
-		out, err := e.evalBitmap(r, &bytes)
-		if err != nil {
-			return nil, Cost{}, err
-		}
-		return out, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: out.Count()}, nil
-	default:
-		return nil, Cost{}, fmt.Errorf("engine: method %v cannot evaluate general expressions", m)
-	}
-}
-
-// CountExpr returns the number of qualifying rows — the aggregation the
-// paper notes Bit-Sliced indexes serve well: only a population count of
-// the result bitmap, no record fetches.
-func (r *Relation) CountExpr(e Expr, m Method) (int, Cost, error) {
-	b, c, err := r.SelectExpr(e, m)
+func (n notExpr) bitmap(x *bitmapRun, count bool) (*bitvec.Vector, int, error) {
+	b, _, err := n.e.bitmap(x, false)
 	if err != nil {
-		return 0, Cost{}, err
+		return nil, 0, err
 	}
-	return b.Count(), c, nil
+	sp := x.req.Trace.Start(telemetry.PhaseBoolOps)
+	b.Not() // b is this node's own vector: every leaf evaluation is fresh
+	sp.End()
+	x.st.Nots++
+	return x.result(b, count)
 }

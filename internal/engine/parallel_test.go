@@ -27,12 +27,11 @@ func noAllocs(c Cost) Cost {
 func TestSelectOptsParallelMatchesSerial(t *testing.T) {
 	rel := buildRelation(t, 3000, 7)
 	for qi, preds := range parallelQueries {
-		want, wc, err := rel.Select(preds, BitmapMerge)
+		want, wc, err := rel.Select(Request{Preds: preds, Method: BitmapMerge})
 		if err != nil {
 			t.Fatalf("query %d serial: %v", qi, err)
 		}
-		opt := &SelectOptions{Parallel: true, Workers: 3, SegBits: 10}
-		got, gc, err := rel.SelectOpts(preds, BitmapMerge, opt)
+		got, gc, err := rel.Select(Request{Preds: preds, Method: BitmapMerge, Parallel: true, Workers: 3, SegBits: 10})
 		if err != nil {
 			t.Fatalf("query %d parallel: %v", qi, err)
 		}
@@ -47,25 +46,27 @@ func TestSelectOptsParallelMatchesSerial(t *testing.T) {
 
 // TestSelectCountAllPlans checks the count pushdown of every plan against
 // the materializing Select, with and without segment parallelism.
+// Count mode returns no result vector.
 func TestSelectCountAllPlans(t *testing.T) {
 	rel := buildRelation(t, 3000, 7)
 	for qi, preds := range parallelQueries {
-		want, _, err := rel.Select(preds, FullScan)
+		want, _, err := rel.Select(Request{Preds: preds, Method: FullScan})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
 		wantN := want.Count()
 		for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge, Auto} {
-			for _, opt := range []*SelectOptions{nil, {Parallel: true, Workers: 2, SegBits: 10}} {
-				n, c, err := rel.SelectCount(preds, m, opt)
+			for _, parallel := range []bool{false, true} {
+				req := Request{Preds: preds, Method: m, Count: true, Parallel: parallel, Workers: 2, SegBits: 10}
+				res, c, err := rel.Select(req)
 				if err != nil {
 					t.Fatalf("query %d method %v: %v", qi, m, err)
 				}
-				if n != wantN {
-					t.Fatalf("query %d method %v (opt=%+v): count %d, want %d", qi, m, opt, n, wantN)
+				if res != nil {
+					t.Fatalf("query %d method %v: count mode returned a result vector", qi, m)
 				}
-				if c.Rows != n {
-					t.Fatalf("query %d method %v: cost.Rows %d != count %d", qi, m, c.Rows, n)
+				if c.Rows != wantN {
+					t.Fatalf("query %d method %v (parallel=%v): count %d, want %d", qi, m, parallel, c.Rows, wantN)
 				}
 			}
 		}
@@ -78,11 +79,11 @@ func TestSelectCountAllPlans(t *testing.T) {
 func TestSelectCountBitmapCostMatchesSelect(t *testing.T) {
 	rel := buildRelation(t, 3000, 7)
 	for qi, preds := range parallelQueries {
-		_, wc, err := rel.Select(preds, BitmapMerge)
+		_, wc, err := rel.Select(Request{Preds: preds, Method: BitmapMerge})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		_, cc, err := rel.SelectCount(preds, BitmapMerge, nil)
+		_, cc, err := rel.Select(Request{Preds: preds, Method: BitmapMerge, Count: true})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
@@ -94,23 +95,23 @@ func TestSelectCountBitmapCostMatchesSelect(t *testing.T) {
 
 func TestSelectCountErrors(t *testing.T) {
 	rel := buildRelation(t, 500, 1)
-	if _, _, err := rel.SelectCount(nil, FullScan, nil); err == nil {
+	if _, _, err := rel.Select(Request{Method: FullScan, Count: true}); err == nil {
 		t.Fatal("empty predicate list: want error")
 	}
-	if _, _, err := rel.SelectCount([]Pred{{Col: "nope", Op: core.Eq, Val: 1}}, FullScan, nil); err == nil {
+	if _, _, err := rel.Select(Request{Preds: []Pred{{Col: "nope", Op: core.Eq, Val: 1}}, Method: FullScan, Count: true}); err == nil {
 		t.Fatal("unknown column: want error")
 	}
-	if _, _, err := rel.SelectCount([]Pred{{Col: "quantity", Op: core.Eq, Val: 1}}, Method(99), nil); err == nil {
+	if _, _, err := rel.Select(Request{Preds: []Pred{{Col: "quantity", Op: core.Eq, Val: 1}}, Method: Method(99), Count: true}); err == nil {
 		t.Fatal("unknown method: want error")
 	}
 	bare := NewRelation("bare")
 	if _, err := bare.AddInt64("v", []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bare.SelectCount([]Pred{{Col: "v", Op: core.Eq, Val: 1}}, BitmapMerge, nil); err == nil {
+	if _, _, err := bare.Select(Request{Preds: []Pred{{Col: "v", Op: core.Eq, Val: 1}}, Method: BitmapMerge, Count: true}); err == nil {
 		t.Fatal("missing bitmap index: want error")
 	}
-	if _, _, err := bare.SelectCount([]Pred{{Col: "v", Op: core.Eq, Val: 1}}, IndexFilter, nil); err == nil {
+	if _, _, err := bare.Select(Request{Preds: []Pred{{Col: "v", Op: core.Eq, Val: 1}}, Method: IndexFilter, Count: true}); err == nil {
 		t.Fatal("missing RID index: want error")
 	}
 }
@@ -120,8 +121,9 @@ func TestSelectCountErrors(t *testing.T) {
 func TestSelectCountTracesSegments(t *testing.T) {
 	rel := buildRelation(t, 3000, 7)
 	tr := telemetry.NewTrace("count")
-	opt := &SelectOptions{Trace: tr, Parallel: true, Workers: 2, SegBits: 10}
-	if _, _, err := rel.SelectCount(parallelQueries[0], BitmapMerge, opt); err != nil {
+	req := Request{Preds: parallelQueries[0], Method: BitmapMerge, Count: true,
+		Trace: tr, Parallel: true, Workers: 2, SegBits: 10}
+	if _, _, err := rel.Select(req); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -131,6 +133,6 @@ func TestSelectCountTracesSegments(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("parallel SelectCount recorded no segment spans")
+		t.Fatal("parallel count recorded no segment spans")
 	}
 }

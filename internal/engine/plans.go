@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,24 +75,32 @@ type Cost struct {
 	AllocObjects int64
 }
 
-// Select evaluates the conjunction of preds over the relation with the
-// given plan and returns the qualifying record bitmap plus the measured
-// cost. All predicates must reference existing columns; RIDMerge needs a
-// RID index and BitmapMerge a bitmap index on every referenced column.
-func (r *Relation) Select(preds []Pred, m Method) (*bitvec.Vector, Cost, error) {
-	return r.SelectTraced(preds, m, nil)
-}
+// Request is one query against a relation: what to select, with which
+// plan, and how to execute it.
+type Request struct {
+	// Preds is a conjunction of predicates. Expr is a general boolean
+	// expression over predicates; exactly one of the two is set. Every
+	// plan runs Preds; expressions run only on FullScan and BitmapMerge.
+	Preds []Pred
+	Expr  Expr
+	// Method is the plan; Auto picks the one with the lowest estimated
+	// bytes read (conjunctions only).
+	Method Method
+	// Count asks for the number of qualifying records only: Select then
+	// returns a nil result vector and the count in Cost.Rows. The count
+	// is pushed into each plan: FullScan, IndexFilter and RIDMerge build
+	// no result vector, BitmapMerge fuses the final AND with the popcount
+	// (bitvec.AndCount) and, for a single predicate with Parallel set,
+	// counts segment by segment (core.SegmentedCount) without any result
+	// vector. Costs report the same bytes and Stats as without Count.
+	Count bool
 
-// SelectOptions tunes plan execution beyond the method choice.
-type SelectOptions struct {
 	// Trace, when non-nil, receives per-phase durations (plan selection,
 	// bitmap work, row filtering, result popcounts).
 	Trace *telemetry.Trace
 	// Parallel evaluates bitmap predicates with the segmented intra-query
 	// evaluator (core.SegmentedEval) instead of the serial one, so a
-	// single heavy predicate uses every core. Engine-level batches over
-	// many predicates should instead parallelize across predicates; see
-	// core.EvalBatch for the crossover heuristic.
+	// single heavy predicate uses every core.
 	Parallel bool
 	// Workers bounds segment workers when Parallel is set (0 selects
 	// GOMAXPROCS).
@@ -101,17 +110,17 @@ type SelectOptions struct {
 	SegBits int
 
 	// Workload, when non-nil, receives one event per bitmap predicate
-	// evaluated by the bitmap-merge plans: the attribute name, operator
+	// evaluated by the bitmap-merge plan: the attribute name, operator
 	// class, rank-space constant and measured scan/latency cost. Result
-	// cardinalities are not counted per predicate (the plans fuse the
-	// final AND with the popcount), so events carry Matches: -1.
+	// cardinalities are counted only when the predicate is the whole
+	// counted query; other events carry Matches: -1.
 	Workload *workload.Accumulator
 
 	// perPred, when non-nil, receives one predActual per bitmap predicate
-	// evaluated by the bitmap-merge plans, in predicate order: the measured
-	// scan delta and wall-clock time of that predicate alone. Filled only
-	// by ExplainAnalyze, which compares the entries against the cost
-	// model's per-predicate predictions.
+	// evaluated by the bitmap-merge plan, in evaluation order: the
+	// measured scan delta and wall-clock time of that predicate alone.
+	// Filled only by ExplainAnalyze, which compares the entries against
+	// the cost model's per-predicate predictions.
 	perPred *[]predActual
 }
 
@@ -121,8 +130,29 @@ type predActual struct {
 	NS    int64
 }
 
-func (o *SelectOptions) segConfig() core.SegConfig {
-	return core.SegConfig{SegBits: o.SegBits, Workers: o.Workers}
+func (q *Request) segConfig() core.SegConfig {
+	return core.SegConfig{SegBits: q.SegBits, Workers: q.Workers}
+}
+
+// expr returns the request's expression: Expr, or the conjunction of
+// Preds.
+func (q *Request) expr() Expr {
+	if q.Expr != nil {
+		return q.Expr
+	}
+	es := make([]Expr, len(q.Preds))
+	for i, p := range q.Preds {
+		es[i] = Leaf(p)
+	}
+	return All(es...)
+}
+
+// summary renders the query for flight records and plan reports.
+func (q *Request) summary() string {
+	if q.Expr != nil {
+		return q.Expr.String()
+	}
+	return predsSummary(q.Preds)
 }
 
 // plansTotal pre-registers one execution counter per concrete plan. The
@@ -138,24 +168,32 @@ var plansTotal = [...]*telemetry.Counter{
 
 const plansHelp = "Query plan executions, by method."
 
-// SelectTraced is Select with per-query tracing: plan selection, bitmap
-// work, row filtering and result popcounts are recorded into tr (which may
-// be nil). Each executed plan also increments the registry's
-// bix_engine_plans_total{method=...} counter.
-func (r *Relation) SelectTraced(preds []Pred, m Method, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
-	return r.SelectOpts(preds, m, &SelectOptions{Trace: tr})
-}
-
-// SelectOpts is Select with full execution options (tracing plus
-// segmented intra-query parallelism for the bitmap plan). opt may be nil.
-func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
-	if opt == nil {
-		opt = &SelectOptions{}
+// Select runs the request and returns the qualifying record bitmap (nil
+// when req.Count is set) plus the measured cost. All predicates must
+// reference existing columns; RIDMerge needs a RID index and BitmapMerge
+// a bitmap index on every referenced column. Each executed plan
+// increments bix_engine_plans_total{method=...} and lands one plan-level
+// flight record.
+func (r *Relation) Select(req Request) (*bitvec.Vector, Cost, error) {
+	switch {
+	case req.Expr != nil && len(req.Preds) > 0:
+		return nil, Cost{}, fmt.Errorf("engine: request carries both predicates and an expression")
+	case req.Expr == nil && len(req.Preds) == 0:
+		return nil, Cost{}, fmt.Errorf("engine: empty predicate list")
+	case req.Expr != nil && req.Method != FullScan && req.Method != BitmapMerge:
+		return nil, Cost{}, fmt.Errorf("engine: method %v cannot evaluate general expressions", req.Method)
 	}
-	if err := r.checkPreds(preds); err != nil {
+	e := req.expr()
+	if err := r.checkPreds(appendLeaves(nil, e)); err != nil {
 		return nil, Cost{}, err
 	}
-	tr := opt.Trace
+	if req.Method == Auto {
+		best, err := r.pickPlan(req.Preds, req.Trace)
+		if err != nil {
+			return nil, Cost{}, err
+		}
+		req.Method = best
+	}
 	var (
 		res *bitvec.Vector
 		c   Cost
@@ -163,38 +201,35 @@ func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitv
 	)
 	aB, aO := telemetry.ReadAllocs()
 	t0 := time.Now()
-	switch m {
+	switch req.Method {
 	case FullScan:
-		res, c, err = r.fullScan(preds, tr)
+		res, c, err = r.fullScan(e, &req)
 	case IndexFilter:
-		res, c, err = r.indexFilter(preds, tr)
+		res, c, err = r.indexFilter(&req)
 	case RIDMerge:
-		res, c, err = r.ridMerge(preds, tr)
+		res, c, err = r.ridMerge(&req)
 	case BitmapMerge:
-		res, c, err = r.bitmapMerge(preds, opt)
-	case Auto:
-		return r.auto(preds, opt) // the recursive call accounts and records
+		res, c, err = r.bitmapMerge(e, &req)
 	default:
-		return nil, Cost{}, fmt.Errorf("engine: unknown method %v", m)
+		err = fmt.Errorf("engine: unknown method %v", req.Method)
 	}
-	if err == nil {
-		b, o := telemetry.ReadAllocs()
-		c.AllocBytes, c.AllocObjects = b-aB, o-aO
-		if int(c.Method) < len(plansTotal) {
-			plansTotal[c.Method].Inc()
-		}
-		recordPlanFlight(preds, &c, time.Since(t0), tr)
+	if err != nil {
+		return nil, Cost{}, err
 	}
-	return res, c, err
+	b, o := telemetry.ReadAllocs()
+	c.AllocBytes, c.AllocObjects = b-aB, o-aO
+	plansTotal[c.Method].Inc()
+	recordPlanFlight(req.summary(), &c, time.Since(t0), req.Trace)
+	return res, c, nil
 }
 
 // recordPlanFlight lands one plan-level flight record for an executed
 // plan. Core evaluations beneath a bitmap plan land their own records
 // under the same trace ID, so /debug/queries readers can join a plan to
 // its per-index evaluations.
-func recordPlanFlight(preds []Pred, c *Cost, elapsed time.Duration, tr *telemetry.Trace) {
+func recordPlanFlight(query string, c *Cost, elapsed time.Duration, tr *telemetry.Trace) {
 	frec := flight.Record{
-		TraceID: tr.ID(), Query: predsSummary(preds), Plan: c.Method.String(),
+		TraceID: tr.ID(), Query: query, Plan: c.Method.String(),
 		Total: elapsed, Rows: int64(c.Rows), BytesRead: c.BytesRead,
 		Scans: c.Stats.Scans, Ands: c.Stats.Ands, Ors: c.Stats.Ors,
 		Xors: c.Stats.Xors, Nots: c.Stats.Nots,
@@ -216,9 +251,6 @@ func predsSummary(preds []Pred) string {
 }
 
 func (r *Relation) checkPreds(preds []Pred) error {
-	if len(preds) == 0 {
-		return fmt.Errorf("engine: empty predicate list")
-	}
 	for _, p := range preds {
 		if _, err := r.Column(p.Col); err != nil {
 			return err
@@ -227,28 +259,42 @@ func (r *Relation) checkPreds(preds []Pred) error {
 	return nil
 }
 
-func (r *Relation) fullScan(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
-	sp := tr.Start(telemetry.PhaseFilter)
-	out := bitvec.New(r.Rows())
-	cols := make([]*Column, len(preds))
-	for i, p := range preds {
-		cols[i], _ = r.Column(p.Col)
+// rowSink collects qualifying rows: into a result bitmap, or in count
+// mode (out nil) only their number.
+type rowSink struct {
+	out *bitvec.Vector
+	n   int
+}
+
+func (r *Relation) newSink(count bool) rowSink {
+	if count {
+		return rowSink{}
 	}
+	return rowSink{out: bitvec.New(r.Rows())}
+}
+
+func (s *rowSink) add(row int) {
+	if s.out != nil {
+		s.out.Set(row)
+	}
+	s.n++
+}
+
+// fullScan is plan P1: test every row against the expression.
+func (r *Relation) fullScan(e Expr, req *Request) (*bitvec.Vector, Cost, error) {
+	test, err := e.rowTest(r)
+	if err != nil {
+		return nil, Cost{}, err
+	}
+	sp := req.Trace.Start(telemetry.PhaseFilter)
+	s := r.newSink(req.Count)
 	for row := 0; row < r.Rows(); row++ {
-		ok := true
-		for i, p := range preds {
-			if !p.matches(cols[i], row) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out.Set(row)
+		if test(row) {
+			s.add(row)
 		}
 	}
 	sp.End()
-	cost := Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: popcount(out, tr)}
-	return out, cost, nil
+	return s.out, Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: s.n}, nil
 }
 
 // popcount counts the result bits under the popcount trace phase.
@@ -265,79 +311,30 @@ func (r *Relation) ridsFor(p Pred) ([]uint32, int64, error) {
 	if c.rids == nil {
 		return nil, 0, fmt.Errorf("engine: column %q has no RID index", p.Col)
 	}
-	rop, rank, all, none, err := translateChecked(c, p)
-	if err != nil {
-		return nil, 0, err
-	}
+	rop, rank, all, none := c.dict.Translate(p.Op, p.Val)
 	if none {
 		return nil, 0, nil
-	}
-	match := func(v uint64) bool {
-		if all {
-			return true
-		}
-		return rop.Matches(v, rank)
 	}
 	var out []uint32
 	var bytes int64
 	for v := uint64(0); v < c.Card(); v++ {
-		if !match(v) {
+		if !all && !rop.Matches(v, rank) {
 			continue
 		}
 		list := c.rids[v]
 		bytes += int64(len(list)) * RIDBytes
 		out = append(out, list...)
 	}
-	sortRIDs(out)
+	slices.Sort(out)
 	return out, bytes, nil
 }
 
-func translateChecked(c *Column, p Pred) (rop core.Op, rank uint64, all, none bool, err error) {
-	rop, rank, all, none = c.dict.Translate(p.Op, p.Val)
-	return rop, rank, all, none, nil
-}
-
-func sortRIDs(r []uint32) {
-	// RID lists are concatenations of already-sorted per-value lists;
-	// a simple merge via sort is adequate at this scale.
-	if len(r) < 2 {
-		return
-	}
-	quickSortRIDs(r)
-}
-
-func quickSortRIDs(r []uint32) {
-	if len(r) < 16 {
-		for i := 1; i < len(r); i++ {
-			for j := i; j > 0 && r[j] < r[j-1]; j-- {
-				r[j], r[j-1] = r[j-1], r[j]
-			}
-		}
-		return
-	}
-	pivot := r[len(r)/2]
-	lo, hi := 0, len(r)-1
-	for lo <= hi {
-		for r[lo] < pivot {
-			lo++
-		}
-		for r[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			r[lo], r[hi] = r[hi], r[lo]
-			lo++
-			hi--
-		}
-	}
-	quickSortRIDs(r[:hi+1])
-	quickSortRIDs(r[lo:])
-}
-
-func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
-	// Choose the most selective indexed predicate (smallest RID list) as
-	// the driver; fall back to the first RID-indexed column.
-	probe := tr.Start(telemetry.PhaseFetch)
+// indexFilter is plan P2: probe the RID index of the most selective
+// indexed predicate (smallest RID list), then fetch the candidate records
+// and test the rest.
+func (r *Relation) indexFilter(req *Request) (*bitvec.Vector, Cost, error) {
+	preds := req.Preds
+	probe := req.Trace.Start(telemetry.PhaseFetch)
 	driver := -1
 	var driverRIDs []uint32
 	var driverBytes int64
@@ -359,25 +356,24 @@ func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vecto
 	if driver < 0 {
 		return nil, Cost{}, fmt.Errorf("engine: no RID index available for index-filter plan")
 	}
-	sp := tr.Start(telemetry.PhaseFilter)
-	out := bitvec.New(r.Rows())
-	cols := make([]*Column, len(preds))
+	sp := req.Trace.Start(telemetry.PhaseFilter)
+	rest := make([]Expr, 0, len(preds)-1)
 	for i, p := range preds {
-		cols[i], _ = r.Column(p.Col)
-	}
-	for _, rid := range driverRIDs {
-		ok := true
-		for i, p := range preds {
-			if i == driver {
-				continue
-			}
-			if !p.matches(cols[i], int(rid)) {
-				ok = false
-				break
-			}
+		if i != driver {
+			rest = append(rest, Leaf(p))
 		}
-		if ok {
-			out.Set(int(rid))
+	}
+	test, err := All(rest...).rowTest(r)
+	if err != nil {
+		sp.End()
+		return nil, Cost{}, err
+	}
+	// Per-value RID lists are disjoint, so the driver list has no
+	// duplicates and each candidate is added at most once.
+	s := r.newSink(req.Count)
+	for _, rid := range driverRIDs {
+		if test(int(rid)) {
+			s.add(int(rid))
 		}
 	}
 	sp.End()
@@ -385,16 +381,18 @@ func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vecto
 		Method: IndexFilter,
 		// Index probe plus fetching each candidate record.
 		BytesRead: driverBytes + int64(len(driverRIDs))*int64(r.RowBytes()),
-		Rows:      popcount(out, tr),
+		Rows:      s.n,
 	}
-	return out, cost, nil
+	return s.out, cost, nil
 }
 
-func (r *Relation) ridMerge(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
+// ridMerge is plan P3 over RID lists: intersect one sorted RID list per
+// predicate.
+func (r *Relation) ridMerge(req *Request) (*bitvec.Vector, Cost, error) {
 	var result []uint32
 	var bytes int64
-	for i, p := range preds {
-		probe := tr.Start(telemetry.PhaseFetch)
+	for i, p := range req.Preds {
+		probe := req.Trace.Start(telemetry.PhaseFetch)
 		rids, b, err := r.ridsFor(p)
 		probe.End()
 		if err != nil {
@@ -405,15 +403,15 @@ func (r *Relation) ridMerge(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, 
 			result = rids
 			continue
 		}
-		sp := tr.Start(telemetry.PhaseFilter)
+		sp := req.Trace.Start(telemetry.PhaseFilter)
 		result = intersectSorted(result, rids)
 		sp.End()
 	}
-	out := bitvec.New(r.Rows())
+	s := r.newSink(req.Count)
 	for _, rid := range result {
-		out.Set(int(rid))
+		s.add(int(rid))
 	}
-	return out, Cost{Method: RIDMerge, BytesRead: bytes, Rows: len(result)}, nil
+	return s.out, Cost{Method: RIDMerge, BytesRead: bytes, Rows: s.n}, nil
 }
 
 func intersectSorted(a, b []uint32) []uint32 {
@@ -434,84 +432,95 @@ func intersectSorted(a, b []uint32) []uint32 {
 	return out
 }
 
-// evalBitmapPred evaluates one predicate through the column's bitmap
-// index, honoring opt.Parallel (segmented evaluation) and accounting
-// stats into st.
-func (r *Relation) evalBitmapPred(p Pred, opt *SelectOptions, st *core.Stats) (*bitvec.Vector, error) {
-	c, _ := r.Column(p.Col)
-	if c.bitmap == nil {
-		return nil, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
-	}
-	rop, rank, all, none, err := translateChecked(c, p)
+// bitmapMerge is plan P3 over bitmaps: evaluate every predicate through
+// its bitmap index and combine the results with AND/OR/NOT.
+func (r *Relation) bitmapMerge(e Expr, req *Request) (*bitvec.Vector, Cost, error) {
+	x := bitmapRun{r: r, req: req, bitmapBytes: int64((r.Rows() + 7) / 8)}
+	out, n, err := e.bitmap(&x, req.Count)
 	if err != nil {
-		return nil, err
+		return nil, Cost{}, err
 	}
-	var t0 time.Time
-	scans0 := st.Scans
-	if opt.Workload != nil {
-		t0 = time.Now()
+	if !req.Count {
+		n = popcount(out, req.Trace)
 	}
-	var res *bitvec.Vector
-	cls := workload.ClassOf(p.Op)
-	switch {
-	case none:
-		res = bitvec.New(r.Rows())
-	case all:
-		res = bitvec.NewOnes(r.Rows())
-	case opt.Parallel:
-		cls = workload.ClassOf(rop)
-		res = c.bitmap.SegmentedEval(rop, rank, &core.EvalOptions{Stats: st, Trace: opt.Trace}, opt.segConfig())
-	default:
-		cls = workload.ClassOf(rop)
-		res = c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: st, Trace: opt.Trace})
-	}
-	if opt.Workload != nil {
-		opt.Workload.Observe(workload.Event{
-			Attr:    p.Col,
-			Class:   cls,
-			Value:   rank,
-			Matches: -1,
-			Scans:   st.Scans - scans0,
-			NS:      time.Since(t0).Nanoseconds(),
-		})
-	}
-	return res, nil
+	return out, Cost{Method: BitmapMerge, BytesRead: x.bytes, Rows: n, Stats: x.st}, nil
 }
 
-func (r *Relation) bitmapMerge(preds []Pred, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
-	tr := opt.Trace
-	bitmapBytes := int64((r.Rows() + 7) / 8)
-	var out *bitvec.Vector
-	var bytes int64
-	var st core.Stats
-	for _, p := range preds {
-		before := st
-		var t0 time.Time
-		if opt.perPred != nil {
-			t0 = time.Now()
-		}
-		res, err := r.evalBitmapPred(p, opt, &st)
-		if err != nil {
-			return nil, Cost{}, err
-		}
-		if opt.perPred != nil {
-			*opt.perPred = append(*opt.perPred,
-				predActual{Scans: st.Scans - before.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		bytes += int64(st.Scans-before.Scans) * bitmapBytes
-		if out == nil {
-			out = res
-		} else {
-			// The cross-predicate AND is a bitmap operation too; count it
-			// so plan-level Stats cover all CPU work, not just the
-			// per-index evaluations.
-			sp := tr.Start(telemetry.PhaseBoolOps)
-			out.And(res)
-			sp.End()
-			st.Ands++
-		}
+// bitmapRun is the state of one bitmap-merge execution: the scans and
+// operations of every index evaluation plus the plan's own AND/OR/NOT
+// (so plan-level Stats cover all bitmap work), and the bitmap bytes read.
+type bitmapRun struct {
+	r           *Relation
+	req         *Request
+	bitmapBytes int64
+	bytes       int64
+	st          core.Stats
+}
+
+// result finishes an expression node: in count mode v is popcounted and
+// dropped.
+func (x *bitmapRun) result(v *bitvec.Vector, count bool) (*bitvec.Vector, int, error) {
+	if count {
+		return nil, popcount(v, x.req.Trace), nil
 	}
-	return out, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: popcount(out, tr), Stats: st}, nil
+	return v, 0, nil
+}
+
+// leaf evaluates one predicate through its column's bitmap index,
+// honoring Parallel. In count mode, where the predicate is the whole
+// query, only the qualifying rows are counted; with Parallel set that
+// happens segment by segment, without a result vector.
+func (x *bitmapRun) leaf(p Pred, count bool) (*bitvec.Vector, int, error) {
+	r, req := x.r, x.req
+	c, _ := r.Column(p.Col)
+	if c.bitmap == nil {
+		return nil, 0, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
+	}
+	rop, rank, all, none := c.dict.Translate(p.Op, p.Val)
+	t0 := time.Now()
+	scans0 := x.st.Scans
+	eo := &core.EvalOptions{Stats: &x.st, Trace: req.Trace}
+	cls := workload.ClassOf(rop)
+	var res *bitvec.Vector
+	n := -1
+	switch {
+	case none || all:
+		cls = workload.ClassOf(p.Op)
+		switch {
+		case count && all:
+			n = r.Rows()
+		case count:
+			n = 0
+		case all:
+			res = bitvec.NewOnes(r.Rows())
+		default:
+			res = bitvec.New(r.Rows())
+		}
+	case req.Parallel && count:
+		n = c.bitmap.SegmentedCount(rop, rank, eo, req.segConfig())
+	case req.Parallel:
+		res = c.bitmap.SegmentedEval(rop, rank, eo, req.segConfig())
+	default:
+		res = c.bitmap.Eval(rop, rank, eo)
+	}
+	if count && n < 0 {
+		n = popcount(res, req.Trace)
+		res = nil
+	}
+	scans := x.st.Scans - scans0
+	x.bytes += int64(scans) * x.bitmapBytes
+	ns := time.Since(t0).Nanoseconds()
+	if req.perPred != nil {
+		*req.perPred = append(*req.perPred, predActual{Scans: scans, NS: ns})
+	}
+	if req.Workload != nil {
+		ev := workload.Event{Attr: p.Col, Class: cls, Value: rank, Matches: -1, Scans: scans, NS: ns}
+		if count {
+			ev.Matches, ev.Rows = n, r.Rows()
+		}
+		req.Workload.Observe(ev)
+	}
+	return res, n, nil
 }
 
 // EstimateBytes predicts the bytes a plan would read, using exact index
@@ -570,14 +579,26 @@ func (r *Relation) EstimateBytes(preds []Pred, m Method) (int64, error) {
 	return 0, fmt.Errorf("engine: cannot estimate method %v", m)
 }
 
-// auto runs the cheapest estimable plan; the estimation pass is traced as
-// the plan phase.
-func (r *Relation) auto(preds []Pred, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
-	best, err := r.pickPlan(preds, opt.Trace)
-	if err != nil {
-		return nil, Cost{}, err
+// planEstimate is one concrete plan's estimated bytes, or why it cannot
+// run.
+type planEstimate struct {
+	method Method
+	bytes  int64
+	err    error
+}
+
+// estimatePlans estimates every concrete plan and returns the cheapest
+// executable one; ok is false when no plan can run.
+func (r *Relation) estimatePlans(preds []Pred) (ests []planEstimate, best Method, ok bool) {
+	bestBytes := int64(math.MaxInt64)
+	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge} {
+		e, err := r.EstimateBytes(preds, m)
+		ests = append(ests, planEstimate{method: m, bytes: e, err: err})
+		if err == nil && e < bestBytes {
+			best, bestBytes, ok = m, e, true
+		}
 	}
-	return r.SelectOpts(preds, best, opt)
+	return ests, best, ok
 }
 
 // pickPlan returns the method with the lowest estimated bytes read among
@@ -585,259 +606,12 @@ func (r *Relation) auto(preds []Pred, opt *SelectOptions) (*bitvec.Vector, Cost,
 // phase.
 func (r *Relation) pickPlan(preds []Pred, tr *telemetry.Trace) (Method, error) {
 	sp := tr.Start(telemetry.PhasePlan)
-	best := Method(0)
-	bestBytes := int64(math.MaxInt64)
-	found := false
-	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge} {
-		e, err := r.EstimateBytes(preds, m)
-		if err != nil {
-			continue
-		}
-		if e < bestBytes {
-			best, bestBytes, found = m, e, true
-		}
-	}
+	_, best, ok := r.estimatePlans(preds)
 	sp.End()
-	if !found {
+	if !ok {
 		return 0, fmt.Errorf("engine: no executable plan")
 	}
 	return best, nil
-}
-
-// SelectCount evaluates the conjunction like SelectOpts but returns only
-// the number of qualifying records, pushing the count into each plan:
-// FullScan and IndexFilter count matches without building a result bitmap,
-// RIDMerge counts the intersected list, and BitmapMerge fuses the final
-// AND with the popcount (bitvec.AndCount) — with a single predicate and
-// opt.Parallel set it counts segment-by-segment (core.SegmentedCount)
-// without materializing any result vector at all. Costs report the same
-// bytes as the materializing plans; Cost.Rows is the count. opt may be
-// nil.
-func (r *Relation) SelectCount(preds []Pred, m Method, opt *SelectOptions) (int, Cost, error) {
-	if opt == nil {
-		opt = &SelectOptions{}
-	}
-	if err := r.checkPreds(preds); err != nil {
-		return 0, Cost{}, err
-	}
-	tr := opt.Trace
-	var (
-		n   int
-		c   Cost
-		err error
-	)
-	aB, aO := telemetry.ReadAllocs()
-	t0 := time.Now()
-	switch m {
-	case FullScan:
-		n, c, err = r.countFullScan(preds, tr)
-	case IndexFilter:
-		n, c, err = r.countIndexFilter(preds, tr)
-	case RIDMerge:
-		n, c, err = r.countRIDMerge(preds, tr)
-	case BitmapMerge:
-		n, c, err = r.countBitmapMerge(preds, opt)
-	case Auto:
-		best, perr := r.pickPlan(preds, tr)
-		if perr != nil {
-			return 0, Cost{}, perr
-		}
-		return r.SelectCount(preds, best, opt) // the recursive call accounts and records
-	default:
-		return 0, Cost{}, fmt.Errorf("engine: unknown method %v", m)
-	}
-	if err == nil {
-		b, o := telemetry.ReadAllocs()
-		c.AllocBytes, c.AllocObjects = b-aB, o-aO
-		if int(c.Method) < len(plansTotal) {
-			plansTotal[c.Method].Inc()
-		}
-		recordPlanFlight(preds, &c, time.Since(t0), tr)
-	}
-	return n, c, err
-}
-
-func (r *Relation) countFullScan(preds []Pred, tr *telemetry.Trace) (int, Cost, error) {
-	sp := tr.Start(telemetry.PhaseFilter)
-	cols := make([]*Column, len(preds))
-	for i, p := range preds {
-		cols[i], _ = r.Column(p.Col)
-	}
-	n := 0
-	for row := 0; row < r.Rows(); row++ {
-		ok := true
-		for i, p := range preds {
-			if !p.matches(cols[i], row) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	sp.End()
-	return n, Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: n}, nil
-}
-
-func (r *Relation) countIndexFilter(preds []Pred, tr *telemetry.Trace) (int, Cost, error) {
-	probe := tr.Start(telemetry.PhaseFetch)
-	driver := -1
-	var driverRIDs []uint32
-	var driverBytes int64
-	for i, p := range preds {
-		c, _ := r.Column(p.Col)
-		if c.rids == nil {
-			continue
-		}
-		rids, bytes, err := r.ridsFor(p)
-		if err != nil {
-			probe.End()
-			return 0, Cost{}, err
-		}
-		if driver < 0 || len(rids) < len(driverRIDs) {
-			driver, driverRIDs, driverBytes = i, rids, bytes
-		}
-	}
-	probe.End()
-	if driver < 0 {
-		return 0, Cost{}, fmt.Errorf("engine: no RID index available for index-filter plan")
-	}
-	sp := tr.Start(telemetry.PhaseFilter)
-	cols := make([]*Column, len(preds))
-	for i, p := range preds {
-		cols[i], _ = r.Column(p.Col)
-	}
-	// Per-value RID lists are disjoint, so the driver list has no
-	// duplicates and counting candidates equals counting result bits.
-	n := 0
-	for _, rid := range driverRIDs {
-		ok := true
-		for i, p := range preds {
-			if i == driver {
-				continue
-			}
-			if !p.matches(cols[i], int(rid)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	sp.End()
-	cost := Cost{
-		Method:    IndexFilter,
-		BytesRead: driverBytes + int64(len(driverRIDs))*int64(r.RowBytes()),
-		Rows:      n,
-	}
-	return n, cost, nil
-}
-
-func (r *Relation) countRIDMerge(preds []Pred, tr *telemetry.Trace) (int, Cost, error) {
-	var result []uint32
-	var bytes int64
-	for i, p := range preds {
-		probe := tr.Start(telemetry.PhaseFetch)
-		rids, b, err := r.ridsFor(p)
-		probe.End()
-		if err != nil {
-			return 0, Cost{}, err
-		}
-		bytes += b
-		if i == 0 {
-			result = rids
-			continue
-		}
-		sp := tr.Start(telemetry.PhaseFilter)
-		result = intersectSorted(result, rids)
-		sp.End()
-	}
-	return len(result), Cost{Method: RIDMerge, BytesRead: bytes, Rows: len(result)}, nil
-}
-
-func (r *Relation) countBitmapMerge(preds []Pred, opt *SelectOptions) (int, Cost, error) {
-	tr := opt.Trace
-	bitmapBytes := int64((r.Rows() + 7) / 8)
-	var st core.Stats
-
-	// Single predicate: count straight off the evaluator. With Parallel
-	// set, no result vector is materialized at all.
-	if len(preds) == 1 {
-		p := preds[0]
-		c, _ := r.Column(p.Col)
-		if c.bitmap == nil {
-			return 0, Cost{}, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
-		}
-		rop, rank, all, none, err := translateChecked(c, p)
-		if err != nil {
-			return 0, Cost{}, err
-		}
-		t0 := time.Now()
-		var n int
-		cls := workload.ClassOf(p.Op)
-		switch {
-		case none:
-			n = 0
-		case all:
-			n = r.Rows()
-		case opt.Parallel:
-			cls = workload.ClassOf(rop)
-			n = c.bitmap.SegmentedCount(rop, rank, &core.EvalOptions{Stats: &st, Trace: tr}, opt.segConfig())
-		default:
-			cls = workload.ClassOf(rop)
-			n = popcount(c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: &st, Trace: tr}), tr)
-		}
-		if opt.perPred != nil {
-			*opt.perPred = append(*opt.perPred,
-				predActual{Scans: st.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		if opt.Workload != nil {
-			opt.Workload.Observe(workload.Event{Attr: p.Col, Class: cls, Value: rank,
-				Matches: n, Rows: r.Rows(), Scans: st.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		bytes := int64(st.Scans) * bitmapBytes
-		return n, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: n, Stats: st}, nil
-	}
-
-	// Multi-predicate: materialize the running AND for all but the last
-	// predicate, then fuse the final AND with the popcount so the result
-	// vector of the conjunction is never written.
-	var out *bitvec.Vector
-	var bytes int64
-	n := 0
-	for k, p := range preds {
-		before := st
-		var t0 time.Time
-		if opt.perPred != nil {
-			t0 = time.Now()
-		}
-		res, err := r.evalBitmapPred(p, opt, &st)
-		if err != nil {
-			return 0, Cost{}, err
-		}
-		if opt.perPred != nil {
-			*opt.perPred = append(*opt.perPred,
-				predActual{Scans: st.Scans - before.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		bytes += int64(st.Scans-before.Scans) * bitmapBytes
-		switch {
-		case out == nil:
-			out = res
-		case k == len(preds)-1:
-			sp := tr.Start(telemetry.PhasePopcount)
-			n = bitvec.AndCount(out, res)
-			sp.End()
-			st.Ands++
-		default:
-			sp := tr.Start(telemetry.PhaseBoolOps)
-			out.And(res)
-			sp.End()
-			st.Ands++
-		}
-	}
-	return n, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: n, Stats: st}, nil
 }
 
 // ridStats returns the matching-row count and index bytes for a predicate
@@ -862,20 +636,15 @@ func (r *Relation) ridStats(c *Column, p Pred) (nRows, idxBytes int64) {
 func (r *Relation) Explain(preds []Pred) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "select %v from %s (%d rows)\n", preds, r.Name, r.Rows())
-	best := Method(0)
-	bestBytes := int64(math.MaxInt64)
-	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge} {
-		e, err := r.EstimateBytes(preds, m)
-		if err != nil {
-			fmt.Fprintf(&sb, "  %-16s unavailable: %v\n", m, err)
+	ests, best, ok := r.estimatePlans(preds)
+	for _, e := range ests {
+		if e.err != nil {
+			fmt.Fprintf(&sb, "  %-16s unavailable: %v\n", e.method, e.err)
 			continue
 		}
-		fmt.Fprintf(&sb, "  %-16s ~%d bytes\n", m, e)
-		if e < bestBytes {
-			best, bestBytes = m, e
-		}
+		fmt.Fprintf(&sb, "  %-16s ~%d bytes\n", e.method, e.bytes)
 	}
-	if bestBytes < int64(math.MaxInt64) {
+	if ok {
 		fmt.Fprintf(&sb, "  -> auto picks %v\n", best)
 	} else {
 		sb.WriteString("  -> no executable plan\n")

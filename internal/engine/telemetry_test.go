@@ -59,7 +59,7 @@ func TestPlanStatsPropagation(t *testing.T) {
 	// P1, P2 and P3-ridmerge touch no bitmap index: Stats must stay zero.
 	for _, m := range []Method{FullScan, IndexFilter, RIDMerge} {
 		beforePlans := plansCount(m.String())
-		res, c, err := r.Select(preds, m)
+		res, c, err := r.Select(Request{Preds: preds, Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -81,7 +81,7 @@ func TestPlanStatsPropagation(t *testing.T) {
 		cost.ScansRange(base, card, core.Ge, 4)
 	beforeScans := telemetry.Default().Snapshot().Counters["bix_scans_total"]
 	beforePlans := plansCount(BitmapMerge.String())
-	res, c, err := r.Select(preds, BitmapMerge)
+	res, c, err := r.Select(Request{Preds: preds, Method: BitmapMerge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPlanStatsPropagation(t *testing.T) {
 	// Auto must execute exactly one concrete plan (no double count via the
 	// dispatch path) and report which.
 	snapBefore := telemetry.Default().Snapshot().Counters
-	_, c, err = r.Select(preds, Auto)
+	_, c, err = r.Select(Request{Preds: preds, Method: Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSelectTracedPhases(t *testing.T) {
 	r := telemetryRelation(t, 2000, 20, base)
 	preds := []Pred{{Col: "a", Op: core.Le, Val: 11}, {Col: "b", Op: core.Ge, Val: 4}}
 	tr := telemetry.NewTrace("auto le/ge")
-	if _, _, err := r.SelectTraced(preds, Auto, tr); err != nil {
+	if _, _, err := r.Select(Request{Preds: preds, Method: Auto, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSelectFeedsWorkload: the bitmap-merge plans report one event per
-// predicate into SelectOptions.Workload, for both the serial and the
+// predicate into Request.Workload, for both the serial and the
 // segmented evaluator and for the fused count path.
 func TestSelectFeedsWorkload(t *testing.T) {
 	rel := buildRelation(t, 2000, 5)
@@ -25,8 +25,8 @@ func TestSelectFeedsWorkload(t *testing.T) {
 		{Col: "region", Op: core.Eq, Val: 3},
 	}
 	for _, parallel := range []bool{false, true} {
-		opt := &SelectOptions{Parallel: parallel, Workload: wl}
-		if _, _, err := rel.SelectOpts(preds, BitmapMerge, opt); err != nil {
+		req := Request{Preds: preds, Method: BitmapMerge, Parallel: parallel, Workload: wl}
+		if _, _, err := rel.Select(req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,10 +50,11 @@ func TestSelectFeedsWorkload(t *testing.T) {
 
 	// The fused count path records the result cardinality (single
 	// predicate counts straight off the evaluator).
-	n, _, err := rel.SelectCount(preds[:1], BitmapMerge, &SelectOptions{Workload: wl})
+	_, c, err := rel.Select(Request{Preds: preds[:1], Method: BitmapMerge, Count: true, Workload: wl})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := c.Rows
 	q := wl.Snapshot()
 	for _, ap := range q.Attrs {
 		if ap.Name != "quantity" {

@@ -49,11 +49,11 @@ func runIntro(cfg Config, w io.Writer) error {
 	crossover := -1.0
 	for k := card - 1; k >= 0; k-- {
 		preds := []engine.Pred{{Col: "a", Op: core.Eq, Val: int64(k)}}
-		_, ridCost, err := rel.Select(preds, engine.RIDMerge)
+		_, ridCost, err := rel.Select(engine.Request{Preds: preds, Method: engine.RIDMerge})
 		if err != nil {
 			return err
 		}
-		_, bmCost, err := rel.Select(preds, engine.BitmapMerge)
+		_, bmCost, err := rel.Select(engine.Request{Preds: preds, Method: engine.BitmapMerge})
 		if err != nil {
 			return err
 		}

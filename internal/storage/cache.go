@@ -136,10 +136,9 @@ func (c *CachedStore) insert(comp, slot int, v *bitvec.Vector) {
 
 // queryOptions builds the per-query EvalOptions wiring the pool into the
 // evaluator. The returned callbacks share per-query state and are NOT safe
-// for concurrent use; they fit Eval and SegmentedEval (which prefetches
-// sequentially on the calling goroutine) but not concurrent batch workers
-// — those use the batch-scoped wiring in EvalBatch.
-func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
+// for concurrent use; Eval calls them sequentially on the query's
+// goroutine.
+func (c *CachedStore) queryOptions(q *query) *core.EvalOptions {
 	// perQuery remembers residency as observed at first touch within this
 	// query, so the Buffered callback and Fetch agree even though Fetch
 	// also inserts into the pool.
@@ -154,10 +153,10 @@ func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
 		return resident
 	}
 	var qid string
-	if m != nil {
-		qid = m.Trace.ID()
+	if q.m != nil {
+		qid = q.m.Trace.ID()
 	}
-	opt := &core.EvalOptions{
+	return &core.EvalOptions{
 		Buffered: wasResident,
 		Fetch: func(comp, slot int) *bitvec.Vector {
 			if c.fetchHook != nil {
@@ -194,145 +193,13 @@ func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
 			return v
 		},
 	}
-	if m != nil {
-		opt.Stats = &m.Stats
-		opt.Trace = m.Trace
-	}
-	return opt
 }
 
 // Eval evaluates (A op v) through the pool: resident bitmaps cost nothing
 // and are excluded from the scan count, misses read through the
 // underlying store (accounted into m) and populate the pool.
-func (c *CachedStore) Eval(op core.Op, v uint64, m *Metrics) (res *bitvec.Vector, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(storageErr); ok {
-				res, err = nil, se.err
-				return
-			}
-			panic(r)
-		}
-	}()
-	telemetry.StorageQueriesTotal.Inc()
-	q := &query{s: c.store, m: m}
-	opt := c.queryOptions(q, m)
-	if m != nil {
-		m.Queries++
-	}
-	return c.store.shell.Eval(op, v, opt), nil
-}
-
-// EvalSegmented evaluates (A op v) through the pool like Eval, but with
-// intra-query segment parallelism (core.SegmentedEval). The pool's
-// per-query callbacks are not concurrency-safe, which is fine here:
-// SegmentedEval guarantees all Fetch/Buffered calls happen sequentially on
-// the calling goroutine before any parallel work starts, and the fetched
-// bitmaps are only read by the workers.
-func (c *CachedStore) EvalSegmented(op core.Op, v uint64, m *Metrics, cfg core.SegConfig) (res *bitvec.Vector, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(storageErr); ok {
-				res, err = nil, se.err
-				return
-			}
-			panic(r)
-		}
-	}()
-	telemetry.StorageQueriesTotal.Inc()
-	q := &query{s: c.store, m: m}
-	opt := c.queryOptions(q, m)
-	if m != nil {
-		m.Queries++
-	}
-	return c.store.shell.SegmentedEval(op, v, opt, cfg), nil
-}
-
-// resident reports pool residency without touching recency or the hit/miss
-// counters; it backs the batch path's Buffered callback.
-func (c *CachedStore) resident(comp, slot int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.byKey[cacheKey{comp, slot}]
-	return ok
-}
-
-// EvalBatch evaluates many predicates through the pool via core.EvalBatch,
-// which spends parallelism across queries — or within them, on a large
-// index with few queries. Physical costs and evaluator stats accumulate
-// into m; results are in input order.
-//
-// Unlike the per-query wiring of Eval, the batch-scoped Fetch is safe for
-// concurrent use: pool lookups take the pool mutex and misses read through
-// the store with a per-call fetch context, so concurrent misses never
-// share file buffers (at the cost of possibly re-reading a CS/IS file that
-// a same-query sibling fetch also reads). Residency for scan accounting is
-// probed without counters at Buffered time, which can race benignly with
-// eviction.
-func (c *CachedStore) EvalBatch(queries []core.Query, parallelism int, m *Metrics) ([]*bitvec.Vector, error) {
-	var mu sync.Mutex // guards ferr and the merge of per-fetch metrics into m
-	var ferr error
-	rows := c.store.shell.Rows()
-	var qid string
-	if m != nil {
-		qid = m.Trace.ID()
-	}
-	fetch := func(comp, slot int) (res *bitvec.Vector) {
-		if c.fetchHook != nil {
-			c.fetchHook(comp, slot)
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				se, ok := r.(storageErr)
-				if !ok {
-					panic(r)
-				}
-				mu.Lock()
-				if ferr == nil {
-					ferr = se.err
-				}
-				mu.Unlock()
-				// Keep the evaluator running on a worker goroutine; the
-				// batch returns the recorded error instead of the results.
-				res = bitvec.New(rows)
-			}
-		}()
-		if v, ok := c.lookup(comp, slot); ok {
-			return v
-		}
-		var local Metrics
-		q := &query{s: c.store, m: &local}
-		v := fillPool(qid, func() *bitvec.Vector { return q.fetch(comp, slot) })
-		c.insert(comp, slot, v)
-		if m != nil {
-			mu.Lock()
-			m.FilesRead += local.FilesRead
-			m.BytesRead += local.BytesRead
-			m.ReadNS += local.ReadNS
-			m.DecompressNS += local.DecompressNS
-			m.ExtractNS += local.ExtractNS
-			mu.Unlock()
-		}
-		return v
-	}
-	tmpl := &core.EvalOptions{Fetch: fetch, Buffered: c.resident}
-	var stats []core.Stats
-	if m != nil {
-		stats = make([]core.Stats, len(queries))
-		tmpl.Trace = m.Trace
-	}
-	out := c.store.shell.EvalBatch(queries, parallelism, stats, tmpl)
-	telemetry.StorageQueriesTotal.Add(int64(len(queries)))
-	if m != nil {
-		m.Queries += len(queries)
-		for i := range stats {
-			m.Stats.Add(stats[i])
-		}
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	return out, nil
+func (c *CachedStore) Eval(op core.Op, v uint64, m *Metrics) (*bitvec.Vector, error) {
+	return c.store.eval(op, v, m, c)
 }
 
 // fillPool runs a pool-miss read under the "cache_fill" pprof label (so CPU

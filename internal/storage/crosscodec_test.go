@@ -92,9 +92,9 @@ func TestCrossCodecResultsAndStatsAgree(t *testing.T) {
 }
 
 // TestCrossCodecEvaluatorsAgree routes a roaring-backed store through the
-// cached, segmented and batch evaluators and cross-checks each against
-// serial dense evaluation: the codec plugs in behind the fetch seam, so
-// every evaluator must work unchanged.
+// cached path and through segmented evaluation over a store fetch, and
+// cross-checks each against serial dense evaluation: the codec plugs in
+// behind the fetch seam, so every evaluator must work unchanged.
 func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 	const card = 24
 	rows := 1<<16 + 1
@@ -111,10 +111,8 @@ func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var queries []core.Query
 	for _, op := range []core.Op{core.Le, core.Eq, core.Gt} {
 		for v := uint64(0); v < card; v += 5 {
-			queries = append(queries, core.Query{Op: op, V: v})
 			want := ix.Eval(op, v, nil)
 			var m Metrics
 			got, err := cs.Eval(op, v, &m)
@@ -124,23 +122,11 @@ func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("cached roaring A %s %d differs", op, v)
 			}
-			seg, err := cs.EvalSegmented(op, v, &m, core.SegConfig{SegBits: 14, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := &query{s: st, m: &m}
+			seg := st.Index().SegmentedEval(op, v, &core.EvalOptions{Fetch: q.fetch}, core.SegConfig{SegBits: 14, Workers: 2})
 			if !seg.Equal(want) {
 				t.Fatalf("segmented roaring A %s %d differs", op, v)
 			}
-		}
-	}
-	var m Metrics
-	batch, err := cs.EvalBatch(queries, 3, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if !batch[i].Equal(ix.Eval(q.Op, q.V, nil)) {
-			t.Fatalf("batch roaring A %s %d differs", q.Op, q.V)
 		}
 	}
 }

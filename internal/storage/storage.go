@@ -569,7 +569,15 @@ func (q *query) extract(payload []byte, stride, col int) *bitvec.Vector {
 
 // Eval evaluates (A op v) against the on-disk index, accounting physical
 // costs into m (which may be nil).
-func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (res *bitvec.Vector, err error) {
+func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (*bitvec.Vector, error) {
+	return s.eval(op, v, m, nil)
+}
+
+// eval is the one query body of Store.Eval and CachedStore.Eval: it counts
+// the query, reads bitmaps through a per-query fetch context (through
+// the pool when c is non-nil), wires m's Stats and Trace into the
+// evaluator and turns a failed read into the returned error.
+func (s *Store) eval(op core.Op, v uint64, m *Metrics, c *CachedStore) (res *bitvec.Vector, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if se, ok := r.(storageErr); ok {
@@ -581,7 +589,12 @@ func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (res *bitvec.Vector, err 
 	}()
 	telemetry.StorageQueriesTotal.Inc()
 	q := &query{s: s, m: m}
-	opt := &core.EvalOptions{Fetch: q.fetch}
+	var opt *core.EvalOptions
+	if c != nil {
+		opt = c.queryOptions(q)
+	} else {
+		opt = &core.EvalOptions{Fetch: q.fetch}
+	}
 	if m != nil {
 		m.Queries++
 		opt.Stats = &m.Stats

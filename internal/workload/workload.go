@@ -9,7 +9,7 @@
 //
 // The accumulator is fed from the same seams the flight recorder taps:
 // catalog.Table.Query (one event per predicate), the engine's
-// bitmap-merge plans (serial and segmented, via SelectOptions.Workload)
+// bitmap-merge plan (serial and segmented, via Request.Workload)
 // and bixstore serve's handlers. The attribute set is fixed at
 // construction (it comes from the catalog), so the accumulator — and the
 // attribute-labeled bix_attr_* metric families it pre-registers — have
