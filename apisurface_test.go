@@ -18,7 +18,7 @@ import (
 )
 
 var wantAPI = []string{
-	"AllocateBudget", "Allocation", "Base", "BatchQuery", "BestBaseUnderSpace",
+	"AllocateBudget", "Allocation", "Base", "BestBaseUnderSpace",
 	"BestBaseUnderSpaceExact", "BestDesignUnderSpace", "Bitmap", "BitmapLevel", "BufferAssignment",
 	"BufferedTimeOptimalBase", "Builder", "CachedStore", "ComponentLevel",
 	"Describe", "Encoding", "Eq", "EqualityEncoded", "EvalOptions",

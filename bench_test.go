@@ -189,22 +189,3 @@ func BenchmarkEvalBetween1M(b *testing.B) {
 		ix.EvalBetween(lo, lo+200, nil)
 	}
 }
-
-func benchBatch(b *testing.B, workers int) {
-	vals := randomColumn(1<<19, 1000, 8)
-	ix, err := New(vals, 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := make([]BatchQuery, 48)
-	for i := range queries {
-		queries[i] = BatchQuery{Op: [6]Op{Lt, Le, Gt, Ge, Eq, Ne}[i%6], V: uint64(i * 20)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.EvalBatch(queries, workers, nil, nil)
-	}
-}
-
-func BenchmarkEvalBatchSerial(b *testing.B)    { benchBatch(b, 1) }
-func BenchmarkEvalBatchParallel8(b *testing.B) { benchBatch(b, 8) }

@@ -55,7 +55,8 @@ type (
 	Encoding = core.Encoding
 	// Stats counts bitmap scans and logical operations during evaluation.
 	Stats = core.Stats
-	// EvalOptions tunes one evaluation (instrumentation, buffering).
+	// EvalOptions tunes one evaluation (parallelism via the embedded
+	// SegConfig, instrumentation, buffering).
 	EvalOptions = core.EvalOptions
 	// Bitmap is a dense result bit vector; bit r set means row r matches.
 	Bitmap = bitvec.Vector
@@ -239,17 +240,15 @@ func NewStreamingBuilder(card uint64, base Base, enc Encoding) (*Builder, error)
 	return core.NewBuilder(card, base, enc)
 }
 
-// BatchQuery is one predicate for Index.EvalBatch, the concurrent
-// many-query entry point.
-type BatchQuery = core.Query
-
-// SegConfig tunes segmented (intra-query parallel) evaluation; the zero
-// value selects the default segment width and GOMAXPROCS workers. Pass it
-// to Index.SegmentedEval / SegmentedCount.
+// SegConfig sets the segment width and the number of goroutines of one
+// evaluation; it is embedded in EvalOptions, which Index.Eval and
+// Index.Count take. The zero value runs the default segment width on the
+// calling goroutine; Workers > 1 shares the segments with a worker pool
+// (intra-query parallelism).
 type SegConfig = core.SegConfig
 
 // DefaultSegBits is log2 of the default segment width in bits used by
-// segmented evaluation.
+// Index.Eval and Index.Count.
 const DefaultSegBits = core.DefaultSegBits
 
 // MutableIndex layers batch maintenance (tombstone deletes, an append

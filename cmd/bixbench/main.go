@@ -349,9 +349,9 @@ func runScaling(o options, w io.Writer) (*scalingReport, error) {
 		sr.Rows, card, o.SegBits, sr.Cores, sr.Op)
 	fmt.Fprintf(w, "  serial      %12.6fs/query\n", serialSec)
 	for _, nw := range workerCounts {
-		cfg := bitmapindex.SegConfig{SegBits: o.SegBits, Workers: nw}
+		opt := &bitmapindex.EvalOptions{SegConfig: bitmapindex.SegConfig{SegBits: o.SegBits, Workers: nw}}
 		sec, got := timePerQuery(func() *bitmapindex.Bitmap {
-			return ix.SegmentedEval(op, v, nil, cfg)
+			return ix.Eval(op, v, opt)
 		})
 		if !got.Equal(want) {
 			return nil, fmt.Errorf("segmented result at %d workers differs from serial", nw)

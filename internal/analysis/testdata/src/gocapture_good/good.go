@@ -12,8 +12,8 @@ type counter struct {
 	n  int // guarded by mu
 }
 
-// WorkerPool is the core.EvalBatch shape: workers receive indices from a
-// channel; nothing loop-scoped is captured.
+// WorkerPool is the fan-out shape of a batch evaluator: workers receive
+// indices from a channel; nothing loop-scoped is captured.
 func WorkerPool(jobs []int, workers int, out []int) {
 	var wg sync.WaitGroup
 	next := make(chan int)

@@ -108,10 +108,9 @@ func (a Assignment) For() func(comp, slot int) bool {
 
 // HitStats counts buffer consultations so buffering experiments can report
 // measured hits next to the eq. (5) expectation. The evaluator consults
-// the Buffered predicate once per distinct bitmap referenced per query (and
-// only when EvalOptions.Stats is set), so hits+misses equals the distinct
-// bitmap references and misses equals the scan count. Safe for concurrent
-// queries (core.EvalBatch).
+// the Buffered predicate once per distinct bitmap referenced per query,
+// so hits+misses equals the distinct bitmap references and misses equals
+// the scan count. Safe for concurrent queries that share one assignment.
 type HitStats struct {
 	hits   atomic.Int64
 	misses atomic.Int64

@@ -323,15 +323,6 @@ func (t *Table) Query(preds []engine.Pred, m *storage.Metrics) (*bitvec.Vector, 
 	return out, nil
 }
 
-// Count returns the number of rows matching the conjunction.
-func (t *Table) Count(preds []engine.Pred, m *storage.Metrics) (int, error) {
-	b, err := t.Query(preds, m)
-	if err != nil {
-		return 0, err
-	}
-	return b.Count(), nil
-}
-
 // Workload returns the table's access accountant. It is always on; Query
 // feeds it one event per predicate.
 func (t *Table) Workload() *workload.Accumulator { return t.wl }

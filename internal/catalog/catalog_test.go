@@ -71,9 +71,12 @@ func TestCreateOpenQuery(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("opts %v query %d: catalog result differs from full scan", opts, qi)
 			}
-			n, err := tbl2.Count(preds, nil)
-			if err != nil || n != want.Count() {
-				t.Fatalf("Count = %d, want %d (err %v)", n, want.Count(), err)
+			res, err := tbl2.Query(preds, nil)
+			if err != nil {
+				t.Fatalf("query %d without metrics: %v", qi, err)
+			}
+			if n := res.Count(); n != want.Count() {
+				t.Fatalf("Query(...).Count() = %d, want %d", n, want.Count())
 			}
 		}
 	}

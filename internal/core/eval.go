@@ -114,6 +114,9 @@ func (s *Stats) Add(o Stats) {
 
 // EvalOptions tunes a single evaluation.
 type EvalOptions struct {
+	// SegConfig sets the segment width and the number of goroutines the
+	// evaluation runs on; the zero value is the calling goroutine only.
+	SegConfig
 	// Stats, when non-nil, accumulates scan and operation counts.
 	Stats *Stats
 	// Buffered, when non-nil, reports whether stored bitmap slot j of
@@ -126,6 +129,10 @@ type EvalOptions struct {
 	// Buffered, if set, was asked about the same bitmap. Required for
 	// shell indexes (NewShell); the returned vector must have Rows() bits
 	// and must not be retained or mutated by Fetch after returning.
+	// Buffered and Fetch are called sequentially on the calling goroutine
+	// before any segment work starts, whatever Workers is, so neither
+	// needs to be safe for concurrent use; the fetched bitmaps are only
+	// read concurrently.
 	Fetch func(comp, slot int) *bitvec.Vector
 	// Trace, when non-nil, accumulates per-phase wall-clock durations
 	// (bitmap fetch, boolean ops, ...) for this evaluation.
@@ -149,16 +156,24 @@ func (s *Stats) addRun(scans int, ops Stats) {
 // their natural semantics.
 //
 // The predicate is compiled into a bitmap program (segprog.go) that runs
-// over the rows on the calling goroutine, a window of 2^DefaultSegBits
-// bits at a time; SegmentedEval runs the same program on a worker pool.
+// over the rows a window of 2^SegBits bits at a time, on the calling
+// goroutine or, when opt.Workers > 1, on the segment worker pool too.
 //
 // Every Eval also publishes its scan and operation counts plus wall-clock
 // latency to the process-wide telemetry registry (telemetry.Default) and
 // the flight recorder, so the paper's two cost measures are observable
 // without threading a Stats through every caller.
 func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	res, _ := ix.segRun(op, v, opt, SegConfig{Workers: 1}, segMaterialize, ix.evalPlan(), telemetry.PhaseBoolOps)
+	res, _ := ix.segRun(op, v, opt, segMaterialize)
 	return res
+}
+
+// Count evaluates (A op v) exactly like Eval and returns only the number
+// of qualifying records: each window is popcounted as it is combined, so
+// no result vector is built. Stats and telemetry are Eval's.
+func (ix *Index) Count(op Op, v uint64, opt *EvalOptions) int {
+	_, n := ix.segRun(op, v, opt, segCount)
+	return n
 }
 
 // Flight-recorder plan tags of the core evaluators. The engine's plan

@@ -25,10 +25,15 @@ func referenceEval(vals []uint64, nulls []bool, op Op, v uint64) *bitvec.Vector 
 
 type evalFn func(ix *Index, op Op, v uint64, opt *EvalOptions) *bitvec.Vector
 
-// segmentedOneWord runs the segmented path with one-word windows, so even
-// the small indexes of the exhaustive tests span several segments.
+// segmentedOneWord runs Eval on the segment pool with one-word windows,
+// so even the small indexes of the exhaustive tests span several segments.
 func segmentedOneWord(ix *Index, op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	return ix.SegmentedEval(op, v, opt, SegConfig{SegBits: MinSegBits, Workers: 2})
+	o := EvalOptions{}
+	if opt != nil {
+		o = *opt
+	}
+	o.SegConfig = SegConfig{SegBits: MinSegBits, Workers: 2}
+	return ix.Eval(op, v, &o)
 }
 
 func allEvaluators(enc Encoding) map[string]evalFn {

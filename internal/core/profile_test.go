@@ -95,7 +95,7 @@ func TestSegmentedTraceAggregatesSegments(t *testing.T) {
 	nseg := (nwords + segWords - 1) / segWords
 
 	tr := telemetry.NewTrace("seg-agg")
-	ix.SegmentedEval(Ge, 7, &EvalOptions{Trace: tr}, cfg)
+	ix.Eval(Ge, 7, &EvalOptions{SegConfig: cfg, Trace: tr})
 
 	var rec *telemetry.PhaseRecord
 	for _, ph := range tr.Phases() {

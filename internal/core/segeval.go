@@ -19,11 +19,12 @@ import (
 // segProgram (segprog.go), resolves the program's refs once on the calling
 // goroutine, and replays the program over fixed-width word windows of the
 // row space ("segments", 2^SegBits bits, word-aligned by construction)
-// using the range-restricted bitvec kernels. Eval drains the windows on
-// the calling goroutine; the Segmented* entry points share them with a
-// pool of workers. Each worker writes only its own segments' windows of
-// the shared result vector, so stitching is free: the windows are disjoint
-// and the final vector is complete once every segment is processed.
+// using the range-restricted bitvec kernels. Eval and Count drain the
+// windows on the calling goroutine, or share them with a pool of workers
+// when EvalOptions.Workers > 1. Each worker writes only its own segments'
+// windows of the shared result vector, so stitching is free: the windows
+// are disjoint and the final vector is complete once every segment is
+// processed.
 
 // DefaultSegBits is log2 of the default segment width in bits: 2^18 bits
 // = 32 KiB per bitmap per segment, small enough that one segment's working
@@ -34,15 +35,18 @@ const DefaultSegBits = 18
 // MinSegBits is the smallest accepted segment width (one 64-bit word).
 const MinSegBits = 6
 
-// SegConfig tunes segmented evaluation.
+// SegConfig sets how an evaluation splits its rows into segments and how
+// many goroutines combine them. The zero value runs the default segment
+// width on the calling goroutine only.
 type SegConfig struct {
 	// SegBits is log2 of the segment width in bits. 0 selects
 	// DefaultSegBits; values below MinSegBits are clamped up.
 	SegBits int
 	// Workers bounds the number of goroutines combining segments,
-	// including the calling goroutine. <= 0 selects GOMAXPROCS. The
-	// effective count never exceeds the number of segments or the pool
-	// size.
+	// including the calling goroutine. <= 1 runs every segment on the
+	// calling goroutine; > 1 shares them with the segment worker pool.
+	// The effective count never exceeds the number of segments or the
+	// pool size.
 	Workers int
 }
 
@@ -52,9 +56,6 @@ func (cfg SegConfig) normalized() SegConfig {
 	}
 	if cfg.SegBits < MinSegBits {
 		cfg.SegBits = MinSegBits
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return cfg
 }
@@ -169,45 +170,24 @@ func putSegRegs(rs *segRegSet) {
 	segRegPool.Put(rs)
 }
 
-// SegmentedEval evaluates (A op v) exactly like Eval but combines bitmaps
-// segment-by-segment across a worker pool, using up to cfg.Workers
-// goroutines. The result and the reported Stats are Eval's.
-//
-// All opt.Fetch and opt.Buffered calls happen sequentially on the calling
-// goroutine before any parallel work starts, so the callbacks need not be
-// safe for concurrent use — a CachedStore's per-query closures work
-// unchanged. The fetched bitmaps themselves are only read concurrently.
-func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
-	res, _ := ix.segmented(op, v, opt, cfg, segMaterialize)
-	return res
-}
-
-// SegmentedCount evaluates (A op v) and returns only the number of
-// qualifying records, popcounting each segment in place of stitching a
-// result vector — the fast path for COUNT(*) consumers.
-func (ix *Index) SegmentedCount(op Op, v uint64, opt *EvalOptions, cfg SegConfig) int {
-	_, n := ix.segmented(op, v, opt, cfg, segCount)
-	return n
-}
-
-// segmented is the shared body of the Segmented* entry points: counted in
-// bix_segment_eval_total, recorded under the eval-segmented plan tag, with
-// the combination time traced per segment so skew stays visible.
-func (ix *Index) segmented(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int) (*bitvec.Vector, int) {
-	telemetry.SegmentEvalTotal.Inc()
-	return ix.segRun(op, v, opt, cfg, mode, planEvalSegmented, telemetry.PhaseSegments)
-}
-
-// segRun is the one evaluation path: compile, resolve, run, then publish
-// the query's scan and operation counts to opt.Stats, the telemetry
-// registry and the flight recorder under the given plan tag. Scans are
-// counted from the program's refs whether or not opt.Stats is set. The
-// window combination time is traced as the given phase.
-func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int, plan string, phase telemetry.Phase) (*bitvec.Vector, int) {
-	cfg = cfg.normalized()
+// segRun is the one evaluation path behind Eval and Count: compile,
+// resolve, run, then publish the query's scan and operation counts to
+// opt.Stats, the telemetry registry and the flight recorder. Scans are
+// counted from the program's refs whether or not opt.Stats is set. A run
+// on the calling goroutine is recorded under the encoding's plan tag with
+// its window combination time traced as bool_ops; a pool run (Workers > 1)
+// is counted in bix_segment_eval_total, recorded under the eval-segmented
+// plan tag and traced per segment, so skew stays visible.
+func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, mode int) (*bitvec.Vector, int) {
 	var o EvalOptions
 	if opt != nil {
 		o = *opt
+	}
+	cfg := o.SegConfig.normalized()
+	plan, phase := ix.evalPlan(), telemetry.PhaseBoolOps
+	if cfg.Workers > 1 {
+		plan, phase = planEvalSegmented, telemetry.PhaseSegments
+		telemetry.SegmentEvalTotal.Inc()
 	}
 	hits0, misses0 := telemetry.CacheHitsTotal.Value(), telemetry.CacheMissesTotal.Value()
 	t0 := time.Now()

@@ -72,7 +72,7 @@ func TestSegmentedEvalPoolSaturatedDegradesToSerial(t *testing.T) {
 			var wst Stats
 			ix.Eval(op, v, &EvalOptions{Stats: &wst})
 			var gst Stats
-			got := ix.SegmentedEval(op, v, &EvalOptions{Stats: &gst}, cfg)
+			got := ix.Eval(op, v, &EvalOptions{SegConfig: cfg, Stats: &gst})
 			calls++
 			if !got.Equal(want) {
 				t.Fatalf("A %s %d: degraded segmented result differs", op, v)
@@ -81,8 +81,8 @@ func TestSegmentedEvalPoolSaturatedDegradesToSerial(t *testing.T) {
 				t.Fatalf("A %s %d: degraded stats %+v, want %+v", op, v, gst, wst)
 			}
 			var cst Stats
-			if c := ix.SegmentedCount(op, v, &EvalOptions{Stats: &cst}, cfg); c != want.Count() {
-				t.Fatalf("A %s %d: degraded SegmentedCount = %d, want %d", op, v, c, want.Count())
+			if c := ix.Count(op, v, &EvalOptions{SegConfig: cfg, Stats: &cst}); c != want.Count() {
+				t.Fatalf("A %s %d: degraded pool Count = %d, want %d", op, v, c, want.Count())
 			}
 			calls++
 			if cst != wst {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"bitmapindex/internal/bitvec"
@@ -24,7 +22,7 @@ func TestSegmentedMatchesSerialProperty(t *testing.T) {
 	const card = 20
 	bases := []Base{{5, 4}, {20}, {5, 2, 2}}
 	cfgs := []SegConfig{
-		{}, // defaults: one or two segments at these sizes
+		{}, // defaults: one or two segments at these sizes, caller only
 		{SegBits: 14, Workers: 3},
 		{SegBits: MinSegBits, Workers: 1},
 	}
@@ -64,7 +62,7 @@ func TestSegmentedMatchesSerialProperty(t *testing.T) {
 						}
 						for _, cfg := range cfgs {
 							var gst Stats
-							got := ix.SegmentedEval(op, v, &EvalOptions{Stats: &gst}, cfg)
+							got := ix.Eval(op, v, &EvalOptions{SegConfig: cfg, Stats: &gst})
 							if !got.Equal(want) {
 								t.Fatalf("n=%d nulls=%v base=%v enc=%v A %s %d cfg=%+v: segmented result differs from brute force",
 									n, withNulls, ix.Base(), ix.Encoding(), op, v, cfg)
@@ -108,11 +106,11 @@ func TestScansPublishedWithoutStats(t *testing.T) {
 			if d := delta(func() { ix.Eval(op, v, nil) }); d != want {
 				t.Fatalf("A %s %d: Eval published %d scans, want %d", op, v, d, want)
 			}
-			if d := delta(func() { ix.SegmentedEval(op, v, nil, cfg) }); d != want {
-				t.Fatalf("A %s %d: SegmentedEval published %d scans, want %d", op, v, d, want)
+			if d := delta(func() { ix.Eval(op, v, &EvalOptions{SegConfig: cfg}) }); d != want {
+				t.Fatalf("A %s %d: pool Eval published %d scans, want %d", op, v, d, want)
 			}
-			if d := delta(func() { ix.SegmentedCount(op, v, nil, cfg) }); d != want {
-				t.Fatalf("A %s %d: SegmentedCount published %d scans, want %d", op, v, d, want)
+			if d := delta(func() { ix.Count(op, v, &EvalOptions{SegConfig: cfg}) }); d != want {
+				t.Fatalf("A %s %d: pool Count published %d scans, want %d", op, v, d, want)
 			}
 		}
 	}
@@ -187,11 +185,11 @@ func TestSegmentedLargeMultiSegment(t *testing.T) {
 	for _, op := range AllOps {
 		for v := uint64(0); v < card; v += 13 {
 			want := ix.Eval(op, v, nil)
-			if got := ix.SegmentedEval(op, v, nil, cfg); !got.Equal(want) {
+			if got := ix.Eval(op, v, &EvalOptions{SegConfig: cfg}); !got.Equal(want) {
 				t.Fatalf("A %s %d: segmented result differs", op, v)
 			}
-			if got := ix.SegmentedCount(op, v, nil, cfg); got != want.Count() {
-				t.Fatalf("A %s %d: SegmentedCount = %d, want %d", op, v, got, want.Count())
+			if got := ix.Count(op, v, &EvalOptions{SegConfig: cfg}); got != want.Count() {
+				t.Fatalf("A %s %d: pool Count = %d, want %d", op, v, got, want.Count())
 			}
 		}
 	}
@@ -211,20 +209,20 @@ func TestSegmentedCountAnyEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SegConfig{SegBits: 10, Workers: 2}
-	if got := ix.SegmentedCount(Eq, 15, nil, cfg); got != 0 {
+	if got := ix.Count(Eq, 15, &EvalOptions{SegConfig: cfg}); got != 0 {
 		t.Fatalf("empty Eq count = %d", got)
 	}
-	if got := ix.SegmentedCount(Lt, 0, nil, cfg); got != 0 {
+	if got := ix.Count(Lt, 0, &EvalOptions{SegConfig: cfg}); got != 0 {
 		t.Fatalf("A < 0 count = %d", got)
 	}
-	if got := ix.SegmentedCount(Ge, 0, nil, cfg); got != n {
+	if got := ix.Count(Ge, 0, &EvalOptions{SegConfig: cfg}); got != n {
 		t.Fatalf("A >= 0 count = %d, want %d", got, n)
 	}
 	// Trivial constants (v >= card).
-	if got := ix.SegmentedCount(Le, 99, nil, cfg); got != n {
+	if got := ix.Count(Le, 99, &EvalOptions{SegConfig: cfg}); got != n {
 		t.Fatalf("trivial Le count = %d, want %d", got, n)
 	}
-	if got := ix.SegmentedCount(Gt, 99, nil, cfg); got != 0 {
+	if got := ix.Count(Gt, 99, &EvalOptions{SegConfig: cfg}); got != 0 {
 		t.Fatalf("trivial Gt count = %d", got)
 	}
 }
@@ -248,7 +246,7 @@ func TestSegmentedWithNulls(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < 7; v++ {
 				want := ix.Eval(op, v, nil)
-				if got := ix.SegmentedEval(op, v, nil, cfg); !got.Equal(want) {
+				if got := ix.Eval(op, v, &EvalOptions{SegConfig: cfg}); !got.Equal(want) {
 					t.Fatalf("enc=%v A %s %d: segmented result differs with nulls", enc, op, v)
 				}
 			}
@@ -256,99 +254,39 @@ func TestSegmentedWithNulls(t *testing.T) {
 	}
 }
 
-// TestSegConfigNormalization pins the clamping rules.
+// TestSegConfigNormalization pins the clamping rules: Workers <= 1 runs
+// on the calling goroutine only, recorded under the encoding's plan tag
+// and traced as bool_ops, never as a pool run.
 func TestSegConfigNormalization(t *testing.T) {
-	got := SegConfig{}.normalized()
-	if got.SegBits != DefaultSegBits || got.Workers != runtime.GOMAXPROCS(0) {
+	if got := (SegConfig{}).normalized(); got.SegBits != DefaultSegBits {
 		t.Fatalf("zero config normalized to %+v", got)
 	}
-	got = SegConfig{SegBits: 2, Workers: -3}.normalized()
-	if got.SegBits != MinSegBits || got.Workers != runtime.GOMAXPROCS(0) {
+	if got := (SegConfig{SegBits: 2}).normalized(); got.SegBits != MinSegBits {
 		t.Fatalf("clamped config normalized to %+v", got)
 	}
-	// A tiny index with more workers than segments must still work.
 	ix, err := Build([]uint64{0, 1, 2, 1}, 3, Base{3}, RangeEncoded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ix.Eval(Le, 1, nil)
-	if got := ix.SegmentedEval(Le, 1, nil, SegConfig{Workers: 64}); !got.Equal(want) {
+	for _, w := range []int{-3, 0, 1} {
+		tr := telemetry.NewTrace("caller-only")
+		seg0 := telemetry.SegmentEvalTotal.Value()
+		if got := ix.Eval(Le, 1, &EvalOptions{SegConfig: SegConfig{Workers: w}, Trace: tr}); !got.Equal(want) {
+			t.Fatalf("Workers=%d: result differs", w)
+		}
+		if d := telemetry.SegmentEvalTotal.Value() - seg0; d != 0 {
+			t.Fatalf("Workers=%d: counted %d pool runs, want 0", w, d)
+		}
+		for _, ph := range tr.Phases() {
+			if ph.Phase == telemetry.PhaseSegments {
+				t.Fatalf("Workers=%d: traced a segments phase on a caller-only run", w)
+			}
+		}
+	}
+	// A tiny index with more workers than segments must still work.
+	if got := ix.Eval(Le, 1, &EvalOptions{SegConfig: SegConfig{Workers: 64}}); !got.Equal(want) {
 		t.Fatal("tiny index segmented result differs")
-	}
-}
-
-// TestEvalBatchIntraQueryPath forces the few-queries/many-rows branch and
-// checks it still returns serial-identical results and per-query stats.
-func TestEvalBatchIntraQueryPath(t *testing.T) {
-	old := batchIntraMinRows
-	batchIntraMinRows = 1 << 10
-	defer func() { batchIntraMinRows = old }()
-
-	r := rand.New(rand.NewSource(11))
-	vals := make([]uint64, 1<<12)
-	for i := range vals {
-		vals[i] = uint64(r.Intn(50))
-	}
-	ix, err := Build(vals, 50, Base{10, 5}, RangeEncoded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{{Op: Le, V: 20}, {Op: Eq, V: 7}} // fewer queries than workers
-	stats := make([]Stats, len(queries))
-	got := ix.EvalBatch(queries, 4, stats, nil)
-	for i, q := range queries {
-		var st Stats
-		want := ix.Eval(q.Op, q.V, &EvalOptions{Stats: &st})
-		if !got[i].Equal(want) {
-			t.Fatalf("query %d: intra-query batch result differs", i)
-		}
-		if stats[i] != st {
-			t.Fatalf("query %d: stats %+v, want %+v", i, stats[i], st)
-		}
-	}
-}
-
-// TestEvalBatchOptionsTemplate checks that Fetch/Buffered thread through
-// the batch and that tmpl.Stats is ignored in favor of the stats slice.
-func TestEvalBatchOptionsTemplate(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	vals := make([]uint64, 4000)
-	for i := range vals {
-		vals[i] = uint64(r.Intn(30))
-	}
-	ix, err := Build(vals, 30, Base{6, 5}, RangeEncoded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{{Op: Le, V: 10}, {Op: Gt, V: 3}, {Op: Ne, V: 7}, {Op: Eq, V: 0}}
-
-	var fetched int64
-	var tmplStats Stats
-	tmpl := &EvalOptions{
-		Stats: &tmplStats, // must be ignored
-		Fetch: func(comp, slot int) *bitvec.Vector {
-			atomic.AddInt64(&fetched, 1)
-			return ix.StoredBitmap(comp, slot)
-		},
-		Buffered: func(comp, slot int) bool { return comp == 0 && slot == 0 },
-	}
-	stats := make([]Stats, len(queries))
-	got := ix.EvalBatch(queries, 2, stats, tmpl)
-	if fetched == 0 {
-		t.Fatal("template Fetch was never called")
-	}
-	if tmplStats != (Stats{}) {
-		t.Fatalf("tmpl.Stats was written: %+v", tmplStats)
-	}
-	for i, q := range queries {
-		var st Stats
-		want := ix.Eval(q.Op, q.V, &EvalOptions{Stats: &st, Buffered: tmpl.Buffered})
-		if !got[i].Equal(want) {
-			t.Fatalf("query %d: batch result differs", i)
-		}
-		if stats[i] != st {
-			t.Fatalf("query %d: stats %+v, want %+v", i, stats[i], st)
-		}
 	}
 }
 

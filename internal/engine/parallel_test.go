@@ -31,7 +31,7 @@ func TestSelectOptsParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d serial: %v", qi, err)
 		}
-		got, gc, err := rel.Select(Request{Preds: preds, Method: BitmapMerge, Parallel: true, Workers: 3, SegBits: 10})
+		got, gc, err := rel.Select(Request{Preds: preds, Method: BitmapMerge, Workers: 3, SegBits: 10})
 		if err != nil {
 			t.Fatalf("query %d parallel: %v", qi, err)
 		}
@@ -56,8 +56,8 @@ func TestSelectCountAllPlans(t *testing.T) {
 		}
 		wantN := want.Count()
 		for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge, Auto} {
-			for _, parallel := range []bool{false, true} {
-				req := Request{Preds: preds, Method: m, Count: true, Parallel: parallel, Workers: 2, SegBits: 10}
+			for _, workers := range []int{0, 2} {
+				req := Request{Preds: preds, Method: m, Count: true, Workers: workers, SegBits: 10}
 				res, c, err := rel.Select(req)
 				if err != nil {
 					t.Fatalf("query %d method %v: %v", qi, m, err)
@@ -66,7 +66,7 @@ func TestSelectCountAllPlans(t *testing.T) {
 					t.Fatalf("query %d method %v: count mode returned a result vector", qi, m)
 				}
 				if c.Rows != wantN {
-					t.Fatalf("query %d method %v (parallel=%v): count %d, want %d", qi, m, parallel, c.Rows, wantN)
+					t.Fatalf("query %d method %v (workers=%d): count %d, want %d", qi, m, workers, c.Rows, wantN)
 				}
 			}
 		}
@@ -122,7 +122,7 @@ func TestSelectCountTracesSegments(t *testing.T) {
 	rel := buildRelation(t, 3000, 7)
 	tr := telemetry.NewTrace("count")
 	req := Request{Preds: parallelQueries[0], Method: BitmapMerge, Count: true,
-		Trace: tr, Parallel: true, Workers: 2, SegBits: 10}
+		Trace: tr, Workers: 2, SegBits: 10}
 	if _, _, err := rel.Select(req); err != nil {
 		t.Fatal(err)
 	}

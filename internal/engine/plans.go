@@ -90,22 +90,19 @@ type Request struct {
 	// returns a nil result vector and the count in Cost.Rows. The count
 	// is pushed into each plan: FullScan, IndexFilter and RIDMerge build
 	// no result vector, BitmapMerge fuses the final AND with the popcount
-	// (bitvec.AndCount) and, for a single predicate with Parallel set,
-	// counts segment by segment (core.SegmentedCount) without any result
-	// vector. Costs report the same bytes and Stats as without Count.
+	// (bitvec.AndCount) and, for a single predicate, counts segment by
+	// segment (core.Index.Count) without any result vector. Costs report
+	// the same bytes and Stats as without Count.
 	Count bool
 
 	// Trace, when non-nil, receives per-phase durations (plan selection,
 	// bitmap work, row filtering, result popcounts).
 	Trace *telemetry.Trace
-	// Parallel evaluates bitmap predicates with the segmented intra-query
-	// evaluator (core.SegmentedEval) instead of the serial one, so a
-	// single heavy predicate uses every core.
-	Parallel bool
-	// Workers bounds segment workers when Parallel is set (0 selects
-	// GOMAXPROCS).
+	// Workers bounds the goroutines each bitmap predicate is evaluated
+	// on; > 1 shares its segments with the core worker pool, so a single
+	// heavy predicate uses several cores. 0 or 1 is the calling goroutine.
 	Workers int
-	// SegBits overrides the segment width when Parallel is set (0 selects
+	// SegBits overrides the segment width of bitmap predicates (0 selects
 	// the core default).
 	SegBits int
 
@@ -128,10 +125,6 @@ type Request struct {
 type predActual struct {
 	Scans int
 	NS    int64
-}
-
-func (q *Request) segConfig() core.SegConfig {
-	return core.SegConfig{SegBits: q.SegBits, Workers: q.Workers}
 }
 
 // expr returns the request's expression: Expr, or the conjunction of
@@ -466,10 +459,10 @@ func (x *bitmapRun) result(v *bitvec.Vector, count bool) (*bitvec.Vector, int, e
 	return v, 0, nil
 }
 
-// leaf evaluates one predicate through its column's bitmap index,
-// honoring Parallel. In count mode, where the predicate is the whole
-// query, only the qualifying rows are counted; with Parallel set that
-// happens segment by segment, without a result vector.
+// leaf evaluates one predicate through its column's bitmap index on
+// req.Workers goroutines. In count mode, where the predicate is the whole
+// query, only the qualifying rows are counted, segment by segment and
+// without a result vector.
 func (x *bitmapRun) leaf(p Pred, count bool) (*bitvec.Vector, int, error) {
 	r, req := x.r, x.req
 	c, _ := r.Column(p.Col)
@@ -479,10 +472,11 @@ func (x *bitmapRun) leaf(p Pred, count bool) (*bitvec.Vector, int, error) {
 	rop, rank, all, none := c.dict.Translate(p.Op, p.Val)
 	t0 := time.Now()
 	scans0 := x.st.Scans
-	eo := &core.EvalOptions{Stats: &x.st, Trace: req.Trace}
+	eo := &core.EvalOptions{SegConfig: core.SegConfig{SegBits: req.SegBits, Workers: req.Workers},
+		Stats: &x.st, Trace: req.Trace}
 	cls := workload.ClassOf(rop)
 	var res *bitvec.Vector
-	n := -1
+	var n int
 	switch {
 	case none || all:
 		cls = workload.ClassOf(p.Op)
@@ -496,16 +490,10 @@ func (x *bitmapRun) leaf(p Pred, count bool) (*bitvec.Vector, int, error) {
 		default:
 			res = bitvec.New(r.Rows())
 		}
-	case req.Parallel && count:
-		n = c.bitmap.SegmentedCount(rop, rank, eo, req.segConfig())
-	case req.Parallel:
-		res = c.bitmap.SegmentedEval(rop, rank, eo, req.segConfig())
+	case count:
+		n = c.bitmap.Count(rop, rank, eo)
 	default:
 		res = c.bitmap.Eval(rop, rank, eo)
-	}
-	if count && n < 0 {
-		n = popcount(res, req.Trace)
-		res = nil
 	}
 	scans := x.st.Scans - scans0
 	x.bytes += int64(scans) * x.bitmapBytes

@@ -24,8 +24,8 @@ func TestSelectFeedsWorkload(t *testing.T) {
 		{Col: "quantity", Op: core.Le, Val: 25},
 		{Col: "region", Op: core.Eq, Val: 3},
 	}
-	for _, parallel := range []bool{false, true} {
-		req := Request{Preds: preds, Method: BitmapMerge, Parallel: parallel, Workload: wl}
+	for _, workers := range []int{0, 2} {
+		req := Request{Preds: preds, Method: BitmapMerge, Workers: workers, Workload: wl}
 		if _, _, err := rel.Select(req); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -159,7 +160,7 @@ func TestCachedStoreConcurrent(t *testing.T) {
 					return
 				}
 				if !got.Equal(ix.Eval(op, v, nil)) {
-					errs <- err
+					errs <- fmt.Errorf("goroutine %d: cached A %s %d differs from in-memory Eval", g, op, v)
 					return
 				}
 			}

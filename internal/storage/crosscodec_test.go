@@ -92,9 +92,10 @@ func TestCrossCodecResultsAndStatsAgree(t *testing.T) {
 }
 
 // TestCrossCodecEvaluatorsAgree routes a roaring-backed store through the
-// cached path and through segmented evaluation over a store fetch, and
-// cross-checks each against serial dense evaluation: the codec plugs in
-// behind the fetch seam, so every evaluator must work unchanged.
+// cached path, through pool evaluation over a store fetch and through
+// Count on one and two workers over a store fetch, and cross-checks each
+// against serial dense evaluation: the codec plugs in behind the fetch
+// seam, so every evaluator must work unchanged.
 func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 	const card = 24
 	rows := 1<<16 + 1
@@ -123,9 +124,16 @@ func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 				t.Fatalf("cached roaring A %s %d differs", op, v)
 			}
 			q := &query{s: st, m: &m}
-			seg := st.Index().SegmentedEval(op, v, &core.EvalOptions{Fetch: q.fetch}, core.SegConfig{SegBits: 14, Workers: 2})
+			seg := st.Index().Eval(op, v, &core.EvalOptions{SegConfig: core.SegConfig{SegBits: 14, Workers: 2}, Fetch: q.fetch})
 			if !seg.Equal(want) {
 				t.Fatalf("segmented roaring A %s %d differs", op, v)
+			}
+			for _, w := range []int{1, 2} {
+				q := &query{s: st, m: &m}
+				n := st.Index().Count(op, v, &core.EvalOptions{SegConfig: core.SegConfig{SegBits: 14, Workers: w}, Fetch: q.fetch})
+				if n != want.Count() {
+					t.Fatalf("roaring A %s %d: Count on %d workers = %d, want %d", op, v, w, n, want.Count())
+				}
 			}
 		}
 	}

@@ -143,11 +143,15 @@ func TestCachedStoreSegmentedRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[core.Query]*bitvec.Vector)
-	var queries []core.Query
+	type pred struct {
+		Op core.Op
+		V  uint64
+	}
+	want := make(map[pred]*bitvec.Vector)
+	var queries []pred
 	for _, op := range core.AllOps {
 		for v := uint64(0); v < card; v += 4 {
-			q := core.Query{Op: op, V: v}
+			q := pred{Op: op, V: v}
 			queries = append(queries, q)
 			want[q] = ix.Eval(op, v, nil)
 		}
